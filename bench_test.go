@@ -2,10 +2,10 @@ package hypertensor
 
 // Benchmarks regenerating each of the paper's evaluation artifacts
 // (Tables I-V and the MET comparison) at reduced scale, plus ablation
-// benchmarks for the design choices called out in DESIGN.md. The
-// cmd/htbench tool runs the same drivers at full scale with formatted
-// output; these testing.B entry points keep every experiment wired into
-// `go test -bench`.
+// benchmarks for the kernel choices described in docs/architecture.md
+// ("Kernel choices and their ablations"). The cmd/htbench tool runs the
+// same drivers at full scale with formatted output; these testing.B
+// entry points keep every experiment wired into `go test -bench`.
 
 import (
 	"io"
@@ -169,7 +169,7 @@ func ablationSetup() (*SparseTensor, []*dense.Matrix, *symbolic.Structure) {
 	return x, us, symbolic.Build(x, 0)
 }
 
-// Fused final-mode AXPY Kronecker accumulation (the production kernel)...
+// Fused per-nonzero Kronecker accumulation (the production kernel)...
 func BenchmarkAblationTTMcFused(b *testing.B) {
 	x, us, sym := ablationSetup()
 	sm := &sym.Modes[0]

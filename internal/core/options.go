@@ -59,10 +59,13 @@ const (
 	// in a binary dimension tree (ttm.DTree): internal nodes cache the
 	// semi-sparse product over their mode set and are recomputed only
 	// when a factor in their contracted complement changes, cutting the
-	// TTMc flops per sweep several-fold (~4x on the 4-mode benchmark
-	// presets; see bench.DTreeCompare). The numeric results match
-	// TTMcFlat to rounding and remain deterministic for any thread
-	// count.
+	// TTMc multiply-adds per sweep several-fold (see bench.DTreeCompare).
+	// On the cold-4mode benchmark shape (Delicious-like, 280k nonzeros,
+	// ranks 5, 2 threads) it does 3.7x fewer madds than TTMcFlat but
+	// spends only ~1.4x less TTMc time, since the flat path runs the
+	// fused Kronecker kernel and the tree spends about half its time
+	// recomputing internal nodes. The numeric results match TTMcFlat to
+	// rounding and remain deterministic for any thread count.
 	TTMcDTree
 )
 

@@ -14,7 +14,8 @@ import (
 // distributed QR is ever needed. After convergence the left vectors are
 // recovered as U = A·W·Q·diag(1/sigma) from the small projected
 // eigenproblem. It serves as the ablation alternative to Lanczos
-// (DESIGN.md §4) and as an independent cross-check in tests.
+// (docs/architecture.md, "Kernel choices and their ablations") and as
+// an independent cross-check in tests.
 //
 // The refresh is blocked: the whole W panel moves through the operator
 // in two BLAS3 passes (MatMat/MatTMat) instead of one GEMV pair per

@@ -138,22 +138,6 @@ func (k *ALTOTTMc) useDense(n, rowSize int) bool {
 	return int64(blocks)*int64(dim)*int64(rowSize) <= altoAccBudget
 }
 
-// prefixLenFor returns the scratch length of the fused Kronecker
-// buffers for mode n (everything except the last contracted mode).
-func prefixLenFor(u []*dense.Matrix, order, n int) int {
-	lastMode := order - 1
-	if lastMode == n {
-		lastMode--
-	}
-	prefixLen := 1
-	for t := 0; t < order; t++ {
-		if t != n && t != lastMode {
-			prefixLen *= u[t].Cols
-		}
-	}
-	return prefixLen
-}
-
 // TTMc computes the mode-n matricized product into y (pre-shaped
 // NumRows(n) x RowSize(u, n); overwritten). U[n] is not referenced and
 // may be nil.
@@ -167,7 +151,10 @@ func (k *ALTOTTMc) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) 
 	if k.useDense(n, rowSize) {
 		k.denseTTMc(y, n, sm, u, rowSize, threads)
 	} else {
-		k.ownerTTMc(y, n, sm, u, rowSize, threads)
+		// Long modes: the flat owner-computes row loop over the symbolic
+		// update lists, gathering coordinates from the de-linearized
+		// streams.
+		flatRows(y, k.x, sm, nil, u, threads, k.sched)
 	}
 	k.flops += Flops(k.x.NNZ(), rowSize)
 }
@@ -177,7 +164,6 @@ func (k *ALTOTTMc) TTMc(y *dense.Matrix, n int, u []*dense.Matrix, threads int) 
 // the compact output rows in ascending block order.
 func (k *ALTOTTMc) denseTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*dense.Matrix, rowSize, threads int) {
 	x := k.x
-	order := x.Order()
 	dim := x.Shape()[n]
 	blocks := len(k.bounds) - 1
 	slab := dim * rowSize
@@ -187,12 +173,8 @@ func (k *ALTOTTMc) denseTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*den
 	}
 	acc := k.acc[:need]
 
-	cols := make([][]int32, order)
-	for t := 0; t < order; t++ {
-		cols[t] = x.ModeStream(t)
-	}
-	val := x.Values()
-	prefixLen := prefixLenFor(u, order, n)
+	kr := newKron(x, u, n, n+1)
+	keys := x.ModeStream(n)
 
 	chains := func() []int32 {
 		w := make([]int64, blocks)
@@ -201,40 +183,17 @@ func (k *ALTOTTMc) denseTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*den
 		}
 		return par.PartitionChains(w, threads)
 	}
-	type scratch struct {
-		rows [][]float64
-		bufA []float64
-		bufB []float64
-	}
-	scratches := make([]*scratch, threads)
+	scs := make([]kronScratch, threads)
 	runRows(k.sched, blocks, threads, chains, func(w, blo, bhi int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = &scratch{
-				rows: make([][]float64, order-1),
-				bufA: make([]float64, prefixLen),
-				bufB: make([]float64, prefixLen),
-			}
-			scratches[w] = sc
-		}
+		sc := kr.scratch(scs, w)
 		for b := blo; b < bhi; b++ {
 			base := b * slab
 			// Each block has exactly one owner, so zeroing its slab here
 			// parallelizes under the same ownership as the accumulation.
-			for i := base; i < base+slab; i++ {
-				acc[i] = 0
-			}
+			clear(acc[base : base+slab])
 			for i := int(k.bounds[b]); i < int(k.bounds[b+1]); i++ {
-				j := 0
-				for t := 0; t < order; t++ {
-					if t == n {
-						continue
-					}
-					sc.rows[j] = u[t].Row(int(cols[t][i]))
-					j++
-				}
-				row := acc[base+int(cols[n][i])*rowSize:][:rowSize]
-				accumKron(row, val[i], sc.rows, sc.bufA, sc.bufB)
+				row := acc[base+int(keys[i])*rowSize:][:rowSize]
+				kr.add(row, i, sc)
 			}
 		}
 	})
@@ -257,55 +216,6 @@ func (k *ALTOTTMc) denseTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*den
 		})
 }
 
-// ownerTTMc is the long-mode path: the flat owner-computes row loop
-// over the symbolic update lists, gathering coordinates from the
-// de-linearized streams.
-func (k *ALTOTTMc) ownerTTMc(y *dense.Matrix, n int, sm *symbolic.Mode, u []*dense.Matrix, rowSize, threads int) {
-	x := k.x
-	order := x.Order()
-	cols := make([][]int32, order)
-	for t := 0; t < order; t++ {
-		cols[t] = x.ModeStream(t)
-	}
-	val := x.Values()
-	prefixLen := prefixLenFor(u, order, n)
-	type scratch struct {
-		rows [][]float64
-		bufA []float64
-		bufB []float64
-	}
-	scratches := make([]*scratch, threads)
-	runRows(k.sched, sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
-		func(w, lo, hi int) {
-			sc := scratches[w]
-			if sc == nil {
-				sc = &scratch{
-					rows: make([][]float64, order-1),
-					bufA: make([]float64, prefixLen),
-					bufB: make([]float64, prefixLen),
-				}
-				scratches[w] = sc
-			}
-			for r := lo; r < hi; r++ {
-				row := y.Row(r)
-				for i := range row {
-					row[i] = 0
-				}
-				for _, id := range sm.RowNZ(r) {
-					j := 0
-					for t := 0; t < order; t++ {
-						if t == n {
-							continue
-						}
-						sc.rows[j] = u[t].Row(int(cols[t][id]))
-						j++
-					}
-					accumKron(row, val[id], sc.rows, sc.bufA, sc.bufB)
-				}
-			}
-		})
-}
-
 // TTMcRows computes the product only for the symbolic row positions
 // listed in rows (ascending positions into the mode's Rows): y.Row(j)
 // receives the row for slice Rows(n)[rows[j]]. Subsets always take the
@@ -317,57 +227,8 @@ func (k *ALTOTTMc) TTMcRows(y *dense.Matrix, n int, rows []int32, u []*dense.Mat
 	if y.Rows != len(rows) || y.Cols != rowSize {
 		panic("ttm: ALTOTTMc TTMcRows output shape mismatch")
 	}
-	threads = par.DefaultThreads(threads)
-	x := k.x
-	order := x.Order()
-	cols := make([][]int32, order)
-	for t := 0; t < order; t++ {
-		cols[t] = x.ModeStream(t)
-	}
-	val := x.Values()
-	prefixLen := prefixLenFor(u, order, n)
-	type scratch struct {
-		rows [][]float64
-		bufA []float64
-		bufB []float64
-	}
-	scratches := make([]*scratch, threads)
-	chains := func() []int32 {
-		w := make([]int64, len(rows))
-		for j, r := range rows {
-			w[j] = int64(sm.Ptr[r+1] - sm.Ptr[r])
-		}
-		return par.PartitionChains(w, threads)
-	}
+	flatRows(y, k.x, sm, rows, u, threads, k.sched)
 	var nnzDone int64
-	runRows(k.sched, len(rows), threads, chains, func(w, lo, hi int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = &scratch{
-				rows: make([][]float64, order-1),
-				bufA: make([]float64, prefixLen),
-				bufB: make([]float64, prefixLen),
-			}
-			scratches[w] = sc
-		}
-		for j := lo; j < hi; j++ {
-			row := y.Row(j)
-			for i := range row {
-				row[i] = 0
-			}
-			for _, id := range sm.RowNZ(int(rows[j])) {
-				q := 0
-				for t := 0; t < order; t++ {
-					if t == n {
-						continue
-					}
-					sc.rows[q] = u[t].Row(int(cols[t][id]))
-					q++
-				}
-				accumKron(row, val[id], sc.rows, sc.bufA, sc.bufB)
-			}
-		}
-	})
 	for _, r := range rows {
 		nnzDone += int64(sm.Ptr[r+1] - sm.Ptr[r])
 	}

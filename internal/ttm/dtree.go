@@ -370,48 +370,16 @@ func (t *DTree) contract(nd *dnode, dst []float64, rows []int32, u []*dense.Matr
 		// fused Kronecker kernel as the flat TTMc. The dropped modes
 		// here are all contracted modes of the child (both sides of the
 		// range), ascending.
-		var dropped []int
-		for m := 0; m < t.order; m++ {
-			if m < nd.lo || m >= nd.hi {
-				dropped = append(dropped, m)
-			}
-		}
-		prefixLen := 1
-		for _, m := range dropped[:len(dropped)-1] {
-			prefixLen *= t.ranks[m]
-		}
-		streams := make([][]int32, len(dropped))
-		for j, m := range dropped {
-			streams[j] = t.x.ModeStream(m)
-		}
-		vals := t.x.Values()
-		type scratch struct {
-			rows [][]float64
-			bufA []float64
-			bufB []float64
-		}
-		scratches := make([]*scratch, threads)
+		kr := newKron(t.x, u, nd.lo, nd.hi)
+		scs := make([]kronScratch, threads)
 		runRows(t.sched, nRows, threads, chainsFn, func(w, lo, hi int) {
-			sc := scratches[w]
-			if sc == nil {
-				sc = &scratch{
-					rows: make([][]float64, len(dropped)),
-					bufA: make([]float64, prefixLen),
-					bufB: make([]float64, prefixLen),
-				}
-				scratches[w] = sc
-			}
+			sc := kr.scratch(scs, w)
 			for j := lo; j < hi; j++ {
 				g := entry(j)
 				row := dst[g*bs : (g+1)*bs]
-				for i := range row {
-					row[i] = 0
-				}
+				clear(row)
 				for _, id := range nd.groups.Group(g) {
-					for jj := range dropped {
-						sc.rows[jj] = u[dropped[jj]].Row(int(streams[jj][id]))
-					}
-					accumKron(row, vals[id], sc.rows, sc.bufA, sc.bufB)
+					kr.add(row, int(id), sc)
 				}
 			}
 		})

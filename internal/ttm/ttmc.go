@@ -55,61 +55,10 @@ func runRows(sched par.Schedule, n, threads int, chains func() []int32, body fun
 // on, where uniform chunking leaves the worker that owns the heaviest
 // slices running long after the rest are idle.
 func TTMcSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix, threads int, sched par.Schedule) {
-	k := RowSize(u, sm.N)
-	if y.Rows != sm.NumRows() || y.Cols != k {
+	if y.Rows != sm.NumRows() || y.Cols != RowSize(u, sm.N) {
 		panic("ttm: TTMc output shape mismatch")
 	}
-	order := x.Order()
-	nOther := order - 1
-	// Length of the longest Kronecker prefix (everything except the
-	// last contracted mode).
-	lastMode := order - 1
-	if lastMode == sm.N {
-		lastMode--
-	}
-	prefixLen := 1
-	for t := 0; t < order; t++ {
-		if t != sm.N && t != lastMode {
-			prefixLen *= u[t].Cols
-		}
-	}
-
-	threads = par.DefaultThreads(threads)
-	type scratch struct {
-		rows [][]float64
-		bufA []float64
-		bufB []float64
-	}
-	scratches := make([]*scratch, threads)
-	runRows(sched, sm.NumRows(), threads, func() []int32 { return sm.Chains(threads) },
-		func(w, lo, hi int) {
-			sc := scratches[w]
-			if sc == nil {
-				sc = &scratch{
-					rows: make([][]float64, nOther),
-					bufA: make([]float64, prefixLen),
-					bufB: make([]float64, prefixLen),
-				}
-				scratches[w] = sc
-			}
-			for r := lo; r < hi; r++ {
-				row := y.Row(r)
-				for i := range row {
-					row[i] = 0
-				}
-				for _, id := range sm.RowNZ(r) {
-					j := 0
-					for t := 0; t < order; t++ {
-						if t == sm.N {
-							continue
-						}
-						sc.rows[j] = u[t].Row(int(x.Idx[t][id]))
-						j++
-					}
-					accumKron(row, x.Val[id], sc.rows, sc.bufA, sc.bufB)
-				}
-			}
-		})
+	flatRows(y, x, sm, nil, u, threads, sched)
 }
 
 // TTMcRows computes the TTMc result only for the symbolic row positions
@@ -126,61 +75,43 @@ func TTMcRows(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int32, u
 // schedule chains over the selected rows' nonzero weights (computed per
 // call — subsets vary, so there is nothing to cache).
 func TTMcRowsSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int32, u []*dense.Matrix, threads int, sched par.Schedule) {
-	k := RowSize(u, sm.N)
-	if y.Rows != len(rows) || y.Cols != k {
+	if y.Rows != len(rows) || y.Cols != RowSize(u, sm.N) {
 		panic("ttm: TTMcRows output shape mismatch")
 	}
-	order := x.Order()
-	nOther := order - 1
-	lastMode := order - 1
-	if lastMode == sm.N {
-		lastMode--
-	}
-	prefixLen := 1
-	for t := 0; t < order; t++ {
-		if t != sm.N && t != lastMode {
-			prefixLen *= u[t].Cols
-		}
-	}
+	flatRows(y, x, sm, rows, u, threads, sched)
+}
+
+// flatRows is the owner-computes row loop behind every flat TTMc entry
+// point, COO and ALTO alike: output row j is zeroed and then
+// accumulates, in update-list order, every nonzero of symbolic row
+// rows[j] (of row j itself when rows is nil). The balanced schedule
+// chains over the rows' nonzero weights, cached on sm for the full row
+// set and computed per call for a subset.
+func flatRows(y *dense.Matrix, x tensor.Sparse, sm *symbolic.Mode, rows []int32, u []*dense.Matrix, threads int, sched par.Schedule) {
 	threads = par.DefaultThreads(threads)
-	type scratch struct {
-		rows [][]float64
-		bufA []float64
-		bufB []float64
-	}
-	scratches := make([]*scratch, threads)
+	kr := newKron(x, u, sm.N, sm.N+1)
 	chains := func() []int32 {
+		if rows == nil {
+			return sm.Chains(threads)
+		}
 		w := make([]int64, len(rows))
 		for j, r := range rows {
 			w[j] = int64(sm.Ptr[r+1] - sm.Ptr[r])
 		}
 		return par.PartitionChains(w, threads)
 	}
-	runRows(sched, len(rows), threads, chains, func(w, lo, hi int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = &scratch{
-				rows: make([][]float64, nOther),
-				bufA: make([]float64, prefixLen),
-				bufB: make([]float64, prefixLen),
-			}
-			scratches[w] = sc
-		}
+	scs := make([]kronScratch, threads)
+	runRows(sched, y.Rows, threads, chains, func(w, lo, hi int) {
+		sc := kr.scratch(scs, w)
 		for j := lo; j < hi; j++ {
-			row := y.Row(j)
-			for i := range row {
-				row[i] = 0
+			r := j
+			if rows != nil {
+				r = int(rows[j])
 			}
-			for _, id := range sm.RowNZ(int(rows[j])) {
-				q := 0
-				for t := 0; t < order; t++ {
-					if t == sm.N {
-						continue
-					}
-					sc.rows[q] = u[t].Row(int(x.Idx[t][id]))
-					q++
-				}
-				accumKron(row, x.Val[id], sc.rows, sc.bufA, sc.bufB)
+			row := y.Row(j)
+			clear(row)
+			for _, id := range sm.RowNZ(r) {
+				kr.add(row, int(id), sc)
 			}
 		}
 	})

@@ -8,9 +8,7 @@
 //	hooi -input x.tns -ranks 10,10,10 -iters 20 -tol 1e-5
 //	hooi -input x.tns -ranks 10,10,10 -svd rand -sketch gauss
 //	hooi -input x.tns -eps 0.25
-//	hooi -input x.tns -ranks 10,10,10 -format csf
-//	hooi -input x.tns -ranks 10,10,10 -format alto
-//	hooi -input x.tns -ranks 5,5,5,5 -format csf -ttmc dtree
+//	hooi -input x.tns -ranks 5,5,5,5 -ttmc dtree
 //	hooi -input x.tns -ranks 10,10,10 -ttmc dtree -update delta.tns
 //	hooi -input x.tns -ranks 5,5,5,5 -dist 16 -grain fine -method hp
 //	hooi -input x.tns -ranks 5,5,5 -dist spawn -np 4
@@ -71,7 +69,6 @@ func main() {
 		oversmp = flag.Int("oversample", 0, "randomized solver oversampling columns (0 = default 8)")
 		power   = flag.Int("power", 0, "randomized solver power-iteration cap (0 = default 6, negative = none); the solver stops early once its Ritz energies settle")
 		ttmc    = flag.String("ttmc", "flat", "TTMc strategy: flat | dtree (memoized dimension tree)")
-		format  = flag.String("format", "coo", hypertensor.FormatUsage())
 		seed    = flag.Int64("seed", 1, "random seed")
 		distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
 		grain   = flag.String("grain", "fine", "distributed task grain: fine | coarse")
@@ -222,10 +219,6 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown ttmc strategy %q", *ttmc))
 	}
-	opts.Format, err = hypertensor.ParseFormat(*format)
-	if err != nil {
-		fail(err)
-	}
 	opts.MeasureAllocs = !*quiet
 	plan, err := hypertensor.NewPlan(x, opts)
 	if err != nil {
@@ -271,11 +264,11 @@ func main() {
 	if *eps > 0 {
 		fmt.Printf("eps %g selected ranks %v\n", *eps, dec.ChosenRanks)
 	}
-	fmt.Printf("timings: convert=%v symbolic=%v ttmc=%v trsvd=%v core=%v (steady-state allocs/sweep %d)\n",
-		dec.Timings.Convert, dec.Timings.Symbolic, dec.Timings.TTMc, dec.Timings.TRSVD, dec.Timings.Core,
+	fmt.Printf("timings: symbolic=%v ttmc=%v trsvd=%v core=%v (steady-state allocs/sweep %d)\n",
+		dec.Timings.Symbolic, dec.Timings.TTMc, dec.Timings.TRSVD, dec.Timings.Core,
 		dec.AllocsPerSweep)
-	fmt.Printf("storage: format=%s index=%d B (%.2f B/nnz)\n",
-		dec.Format, dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()))
+	fmt.Printf("storage: coo index=%d B (%.2f B/nnz)\n",
+		dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()))
 	fmt.Printf("ttmc: strategy=%s schedule=%s flops=%d", *ttmc, schedule, dec.TTMcFlops)
 	if *ttmc == "dtree" {
 		fmt.Printf(" (node recompute time %v)", dec.Timings.TTMcNodes)

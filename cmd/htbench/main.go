@@ -31,7 +31,6 @@ func main() {
 		table   = flag.Int("table", 0, "regenerate one table (1-5)")
 		met     = flag.Bool("met", false, "run the MET single-core comparison")
 		dtree   = flag.Bool("dtree", false, "run the dimension-tree vs flat TTMc comparison")
-		format  = flag.Bool("format", false, "run the COO vs CSF vs ALTO storage-format comparison")
 		scaling = flag.Bool("scaling", false, "run the thread-scaling sweep (per-thread speedup table)")
 		solver  = flag.Bool("solver", false, "run the randomized-vs-Lanczos TRSVD solver comparison")
 		comm    = flag.Bool("comm", false, "run the comm-volume table: modeled hypergraph cut vs realized sparse-exchange bytes per partition method at p=2,4")
@@ -51,7 +50,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "seed for datasets and partitioners")
 	)
 	flag.Parse()
-	if !*all && *table == 0 && !*met && !*dtree && !*format && !*scaling && !*solver && !*chaos && !*comm {
+	if !*all && *table == 0 && !*met && !*dtree && !*scaling && !*solver && !*chaos && !*comm {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -126,10 +125,6 @@ func main() {
 			fail(err)
 		}
 		fmt.Fprintln(out)
-		if _, err := bench.FormatCompare(o, out); err != nil {
-			fail(err)
-		}
-		fmt.Fprintln(out)
 		if _, err := bench.CommVolume(o, out); err != nil {
 			fail(err)
 		}
@@ -149,11 +144,6 @@ func main() {
 	}
 	if *dtree {
 		if _, err := bench.DTreeCompare(o, out); err != nil {
-			fail(err)
-		}
-	}
-	if *format {
-		if _, err := bench.FormatCompare(o, out); err != nil {
 			fail(err)
 		}
 	}

@@ -7,12 +7,11 @@ import (
 	"hypertensor"
 )
 
-// ExampleDecompose_format runs the same decomposition on all three
-// sparse storage formats. Every format holds the identical canonical
-// nonzero set and the fits agree to rounding; they differ in index
-// footprint — COO pays 4 bytes per mode per nonzero, CSF compresses
-// shared fiber prefixes, ALTO packs each coordinate tuple into one
-// 8-byte linearized key. See docs/formats.md for when each wins.
+// ExampleDecompose_format shows the one storage format every
+// decomposition runs on: the caller's coordinate (COO) tensor, used as
+// is. Its index costs 4 bytes per mode per nonzero, there is no
+// conversion phase, and both TTMc strategies read the same storage, so
+// their fits agree to rounding.
 func ExampleDecompose_format() {
 	x := hypertensor.NewSparseTensor([]int{40, 30, 20}, 0)
 	for i := 0; i < 40; i++ {
@@ -22,36 +21,29 @@ func ExampleDecompose_format() {
 	}
 	x.SortDedup()
 
-	base := hypertensor.Options{
+	opts := hypertensor.Options{
 		Ranks:    []int{4, 4, 4},
 		MaxIters: 30,
 		Tol:      1e-9,
 		Seed:     1,
 	}
 	var fits []float64
-	for _, format := range []hypertensor.Format{
-		hypertensor.FormatCOO, hypertensor.FormatCSF, hypertensor.FormatALTO,
-	} {
-		opts := base
-		opts.Format = format
+	for _, run := range []struct {
+		name     string
+		strategy hypertensor.TTMcStrategy
+	}{{"flat", hypertensor.TTMcFlat}, {"dtree", hypertensor.TTMcDTree}} {
+		opts.TTMc = run.strategy
 		dec, err := hypertensor.Decompose(x, opts)
 		if err != nil {
 			panic(err)
 		}
 		fits = append(fits, dec.Fit)
-		fmt.Printf("%-4v  %4.1f index B/nnz\n",
-			format, float64(dec.IndexBytes)/float64(x.NNZ()))
+		fmt.Printf("%-5v %4.1f index B/nnz, convert %v\n",
+			run.name, float64(dec.IndexBytes)/float64(x.NNZ()), dec.Timings.Convert)
 	}
-	agree := true
-	for _, f := range fits {
-		if math.Abs(f-fits[0]) > 1e-8 {
-			agree = false
-		}
-	}
-	fmt.Printf("fits agree to 1e-8: %v\n", agree)
+	fmt.Printf("fits agree to 1e-8: %v\n", math.Abs(fits[0]-fits[1]) <= 1e-8)
 	// Output:
-	// coo   12.0 index B/nnz
-	// csf    9.3 index B/nnz
-	// alto   8.0 index B/nnz
+	// flat  12.0 index B/nnz, convert 0s
+	// dtree 12.0 index B/nnz, convert 0s
 	// fits agree to 1e-8: true
 }

@@ -59,18 +59,6 @@ type DistCell struct {
 	SweepSec             float64 `json:"sweep_sec"`
 }
 
-// AltoCell is the ALTO storage-format measurement of one dataset:
-// linearized-key index bytes (8 or 16 per nonzero, machine
-// independent), TTMc madds per sweep (machine independent — the
-// linearized kernels count the same nnz x row-size convention as the
-// flat path), and the measured sweep seconds at the sweep's largest
-// thread count (host gated like the thread cells).
-type AltoCell struct {
-	IndexBytes    int64   `json:"index_bytes"`
-	MaddsPerSweep int64   `json:"madds_per_sweep"`
-	SweepSec      float64 `json:"sweep_sec"`
-}
-
 // CheckpointCell is the crash-recovery measurement of one dataset:
 // the serialized checkpoint size (a deterministic function of the
 // dims and ranks — factors, core, history, and a fixed-size header —
@@ -120,9 +108,6 @@ type ScalingRow struct {
 	// sweep's largest thread count (madds and |Δfit| deterministic and
 	// gated; seconds host-gated; eps_ranks gated with a small slack).
 	Solver *SolverCell `json:"solver,omitempty"`
-	// Alto is the ALTO storage-format row (schema 6): index bytes and
-	// madds deterministic and gated, seconds host-gated.
-	Alto *AltoCell `json:"alto,omitempty"`
 	// Checkpoint is the crash-recovery row (schema 7): checkpoint bytes
 	// deterministic and gated, write/restore seconds host-gated.
 	Checkpoint *CheckpointCell `json:"checkpoint,omitempty"`
@@ -138,7 +123,6 @@ type ScalingReport struct {
 	Scale      float64      `json:"scale"`
 	Iters      int          `json:"iters"`
 	Schedule   string       `json:"schedule"`
-	Format     string       `json:"format"`
 	Rows       []ScalingRow `json:"rows"`
 }
 
@@ -155,8 +139,11 @@ type ScalingReport struct {
 // switched the dist cells to hypergraph partitions with the sparse
 // point-to-point exchange and added their per-phase breakdown
 // (expand/fold/trsvd bytes per sweep) plus the block-placement cut
-// volume the HP-beats-block gate compares against.
-const scalingSchema = 8
+// volume the HP-beats-block gate compares against; schema 9 dropped the
+// ALTO cell and the report's format field when COO became the only
+// storage, so the thread cells, madds, and index bytes measure the COO
+// flat kernel instead of the CSF fiber walk.
+const scalingSchema = 9
 
 // distNPs are the multi-process rank counts measured per dataset.
 var distNPs = []int{2, 4}
@@ -214,7 +201,7 @@ func cpuModel() string {
 
 // Scaling runs the shared-memory thread-scaling sweep on every preset
 // dataset with the given schedule: one HOOI measurement per thread
-// count on the CSF fast path, reporting seconds and speedup per sweep,
+// count with the default flat TTMc, reporting seconds and speedup per sweep,
 // the TTMc share, the machine-independent madds-per-sweep count, and
 // whether the fit trajectory stayed bitwise identical across the whole
 // thread sweep (it must, for the static and balanced schedules — that
@@ -228,10 +215,9 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 		Scale:      o.Scale,
 		Iters:      o.Iters,
 		Schedule:   sched.String(),
-		Format:     core.FormatCSF.String(),
 	}
 	t := &Table{
-		Title: fmt.Sprintf("Thread scaling: seconds/sweep, schedule=%s, format=csf (host %s)",
+		Title: fmt.Sprintf("Thread scaling: seconds/sweep, schedule=%s (host %s)",
 			sched, rep.Host),
 		Headers: []string{"Tensor", "#threads", "s/sweep", "ttmc s", "trsvd s", "speedup", "madds/sweep", "allocs/sweep", "upd sweeps", "upd madds", "fit-invariant"},
 	}
@@ -256,7 +242,6 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 					Tol:           -1,
 					Threads:       th,
 					Schedule:      sched,
-					Format:        core.FormatCSF,
 					Seed:          o.Seed + 31,
 					MeasureAllocs: th == 1,
 				})
@@ -312,10 +297,6 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 		if err != nil {
 			return nil, fmt.Errorf("%s solver comparison: %w", name, err)
 		}
-		row.Alto, err = measureAlto(x, ranks, sched, o.Iters, o.Reps, maxInt(o.Threads), o.Seed+31)
-		if err != nil {
-			return nil, fmt.Errorf("%s alto: %w", name, err)
-		}
 		row.Checkpoint, err = measureCheckpoint(x, ranks, sched, o.Iters, o.Reps, maxInt(o.Threads), o.Seed+31)
 		if err != nil {
 			return nil, fmt.Errorf("%s checkpoint: %w", name, err)
@@ -359,19 +340,6 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 	}
 	td.Render(w)
 	renderSolverTable(rep, w)
-	ta := &Table{
-		Title:   "ALTO storage format (largest thread count)",
-		Headers: []string{"Tensor", "alto B/nnz", "madds/sweep", "s/sweep"},
-	}
-	for _, row := range rep.Rows {
-		if row.Alto == nil {
-			continue
-		}
-		ta.AddRow(row.Dataset,
-			fmt.Sprintf("%.1f", float64(row.Alto.IndexBytes)/float64(row.NNZ)),
-			humanCount(row.Alto.MaddsPerSweep), secs(row.Alto.SweepSec))
-	}
-	ta.Render(w)
 	tc := &Table{
 		Title:   "Checkpoint/restore (converged engine snapshot)",
 		Headers: []string{"Tensor", "ckpt bytes", "write s", "restore s"},
@@ -387,29 +355,6 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 	return rep, nil
 }
 
-// measureAlto runs one dataset under FormatALTO at the sweep's largest
-// thread count, min-of-reps like the thread cells, and reports the
-// machine-independent index bytes and madds plus the host-gated sweep
-// seconds.
-func measureAlto(x *tensor.COO, ranks []int, sched par.Schedule, iters, reps, threads int, seed int64) (*AltoCell, error) {
-	cell := &AltoCell{}
-	for rep := 0; rep < reps; rep++ {
-		r, err := core.Decompose(x, core.Options{
-			Ranks: ranks, MaxIters: iters, Tol: -1, Threads: threads,
-			Schedule: sched, Format: core.FormatALTO, Seed: seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if s := r.Timings.Total().Seconds() / float64(r.Iters); rep == 0 || s < cell.SweepSec {
-			cell.SweepSec = s
-		}
-		cell.IndexBytes = r.IndexBytes
-		cell.MaddsPerSweep = r.TTMcFlops / int64(r.Iters)
-	}
-	return cell, nil
-}
-
 // measureCheckpoint converges one engine on the dataset, then measures
 // the crash-recovery round trip: Snapshot into a buffer (write), and
 // ResumeEngine from those bytes against a fresh plan (restore —
@@ -421,7 +366,7 @@ func measureAlto(x *tensor.COO, ranks []int, sched par.Schedule, iters, reps, th
 func measureCheckpoint(x *tensor.COO, ranks []int, sched par.Schedule, iters, reps, threads int, seed int64) (*CheckpointCell, error) {
 	opts := core.Options{
 		Ranks: ranks, MaxIters: iters, Tol: -1, Threads: threads,
-		Schedule: sched, Format: core.FormatCSF, Seed: seed,
+		Schedule: sched, Seed: seed,
 	}
 	p, err := core.NewPlan(x, opts)
 	if err != nil {
@@ -592,7 +537,7 @@ func distSolveTCP(x *tensor.COO, part *dist.Partition, ranks []int, np, iters in
 // measureUpdate exercises the resident-engine delta path once per
 // dataset: converge, ingest a deterministic ~0.6% delta (half value
 // perturbations, half fresh coordinates), and report the re-convergence
-// sweeps and executed TTMc madds. It deliberately runs the COO +
+// sweeps and executed TTMc madds. It deliberately runs the
 // dimension-tree configuration — the one where ingest is incremental in
 // every layer (stable-id merge, symbolic splice, per-entry dirty
 // recompute) — so a regression in that machinery (e.g. ApplyDelta
@@ -603,7 +548,7 @@ func distSolveTCP(x *tensor.COO, part *dist.Partition, ranks []int, np, iters in
 func measureUpdate(x *tensor.COO, ranks []int, sched par.Schedule, seed int64) (int, int64, error) {
 	opts := core.Options{
 		Ranks: ranks, MaxIters: 30, Tol: 1e-9, Threads: 1,
-		Schedule: sched, Format: core.FormatCOO, TTMc: core.TTMcDTree, Seed: seed + 31,
+		Schedule: sched, TTMc: core.TTMcDTree, Seed: seed + 31,
 	}
 	p, err := core.NewPlan(x, opts)
 	if err != nil {
@@ -680,9 +625,9 @@ func CompareScaling(base, cur *ScalingReport, tol, timeTol float64, w io.Writer)
 	if base.Schema != cur.Schema {
 		return fmt.Errorf("bench: baseline schema %d vs current %d", base.Schema, cur.Schema)
 	}
-	if base.Scale != cur.Scale || base.Iters != cur.Iters || base.Schedule != cur.Schedule || base.Format != cur.Format {
-		return fmt.Errorf("bench: baseline config (scale=%g iters=%d sched=%s format=%s) does not match current (scale=%g iters=%d sched=%s format=%s)",
-			base.Scale, base.Iters, base.Schedule, base.Format, cur.Scale, cur.Iters, cur.Schedule, cur.Format)
+	if base.Scale != cur.Scale || base.Iters != cur.Iters || base.Schedule != cur.Schedule {
+		return fmt.Errorf("bench: baseline config (scale=%g iters=%d sched=%s) does not match current (scale=%g iters=%d sched=%s)",
+			base.Scale, base.Iters, base.Schedule, cur.Scale, cur.Iters, cur.Schedule)
 	}
 	timeGate := base.Host == cur.Host
 	if !timeGate {
@@ -838,27 +783,6 @@ func CompareScaling(base, cur *ScalingReport, tol, timeTol float64, w io.Writer)
 				exceeds(c.Solver.RandTRSVDSec, b.Solver.RandTRSVDSec, timeTol) {
 				return fmt.Errorf("bench: %s randomized-solver TRSVD time regressed %.4fs -> %.4fs (> %.0f%%)",
 					c.Dataset, b.Solver.RandTRSVDSec, c.Solver.RandTRSVDSec, timeTol*100)
-			}
-		}
-		// The ALTO storage-format gates (schema 6): index bytes and madds
-		// are deterministic functions of the dataset (fractional
-		// tolerance); the sweep seconds follow the host rules below.
-		if b.Alto != nil {
-			if c.Alto == nil {
-				return fmt.Errorf("bench: %s no longer reports the ALTO format cell present in the baseline", c.Dataset)
-			}
-			if exceeds(float64(c.Alto.IndexBytes), float64(b.Alto.IndexBytes), tol) {
-				return fmt.Errorf("bench: %s ALTO index bytes regressed %d -> %d (> %.0f%%)",
-					c.Dataset, b.Alto.IndexBytes, c.Alto.IndexBytes, tol*100)
-			}
-			if exceeds(float64(c.Alto.MaddsPerSweep), float64(b.Alto.MaddsPerSweep), tol) {
-				return fmt.Errorf("bench: %s ALTO madds/sweep regressed %d -> %d (> %.0f%%)",
-					c.Dataset, b.Alto.MaddsPerSweep, c.Alto.MaddsPerSweep, tol*100)
-			}
-			if timeGate && timeTol > 0 && c.Alto.SweepSec-b.Alto.SweepSec >= timeNoiseFloorSec &&
-				exceeds(c.Alto.SweepSec, b.Alto.SweepSec, timeTol) {
-				return fmt.Errorf("bench: %s ALTO sweep time regressed %.4fs -> %.4fs (> %.0f%%)",
-					c.Dataset, b.Alto.SweepSec, c.Alto.SweepSec, timeTol*100)
 			}
 		}
 		// The checkpoint gates (schema 7): the serialized size is a

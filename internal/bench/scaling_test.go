@@ -97,7 +97,7 @@ func TestScalingJSONRoundTrip(t *testing.T) {
 func scalingFixture() *ScalingReport {
 	return &ScalingReport{
 		Schema: scalingSchema, Host: "test/amd64/maxprocs=8", GOMAXPROCS: 8,
-		Scale: 1, Iters: 3, Schedule: "balanced", Format: "csf",
+		Scale: 1, Iters: 3, Schedule: "balanced",
 		Rows: []ScalingRow{{
 			Dataset: "netflix", Order: 3, NNZ: 1000,
 			MaddsPerSweep: 1000000, IndexBytes: 5000, AllocsPerSweep: 100,

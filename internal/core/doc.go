@@ -10,10 +10,9 @@
 // objects (see docs/architecture.md):
 //
 //   - Plan is the immutable per-tensor analysis: option validation,
-//     storage-format construction (Options.Format selects COO, CSF, or
-//     ALTO), the per-mode symbolic update lists, and the TTMc strategy
-//     binding (flat per-format kernels or the memoized dimension
-//     tree). A Plan is a pure function of (tensor, options).
+//     the per-mode symbolic update lists over the COO index streams,
+//     and the TTMc strategy binding (the flat kernel or the memoized
+//     dimension tree). A Plan is a pure function of (tensor, options).
 //   - Engine holds the resident mutable state — factors, TRSVD
 //     workspaces, memoized partials, and an engine-owned copy of the
 //     evolving tensor once deltas arrive. Run converges from the

@@ -20,8 +20,7 @@ import (
 // first Update) an engine-owned copy of the evolving tensor. Run
 // converges from the current factors; Update ingests a coordinate
 // delta through the incremental paths of every layer (stable-id COO
-// merge, fiber-local CSF merge, or linear ALTO key-stream merge,
-// spliced symbolic update lists, per-entry dimension-tree
+// merge, spliced symbolic update lists, per-entry dimension-tree
 // invalidation, warm-started TRSVD) and re-converges in a handful of
 // sweeps instead of a cold solve.
 //
@@ -36,21 +35,15 @@ type Engine struct {
 	// Resident tensor-derived state. Until the first Update these alias
 	// the plan's (shared, immutable) structures; ensureOwned clones them
 	// before the first mutation.
-	x       *tensor.COO
-	csf     *tensor.CSF
-	alto    *tensor.ALTO
-	storage tensor.Sparse
-	flatX   *tensor.COO
-	sym     *symbolic.Structure
-	owned   bool
+	x     *tensor.COO
+	sym   *symbolic.Structure
+	owned bool
 	// mergeIx amortizes the coordinate lookup across a stream of COO
 	// deltas: built once over the engine-owned clone, extended per
 	// ingest, so Update cost is proportional to the delta.
 	mergeIx *tensor.MergeIndex
 
-	tree  *ttm.DTree
-	fiber *ttm.CSFTTMc
-	lin   *ttm.ALTOTTMc
+	tree *ttm.DTree
 
 	state     *SweepState
 	ys        []*dense.Matrix
@@ -65,7 +58,7 @@ type Engine struct {
 	// allocation-free.
 	ranksBuf []int
 
-	flatFlops int64 // flat-kernel madds (tree/fiber keep their own counters)
+	flatFlops int64 // flat-kernel madds (the tree keeps its own counter)
 	symTime   time.Duration
 	res       *Result
 
@@ -77,33 +70,22 @@ type Engine struct {
 }
 
 // NewEngine builds a resident handle on the plan's analysis: the
-// numeric TTMc engine (dimension tree or fiber walker) with empty
-// caches, seeded initial factors, and per-mode solver workspaces.
+// dimension tree (when selected) with empty caches, seeded initial
+// factors, and per-mode solver workspaces.
 func NewEngine(p *Plan) *Engine {
 	e := &Engine{
 		plan:     p,
 		opts:     p.opts,
 		order:    p.x.Order(),
 		x:        p.x,
-		csf:      p.csf,
-		alto:     p.alto,
-		storage:  p.storage,
-		flatX:    p.flatX,
 		sym:      p.sym,
 		normX:    p.normX,
 		firstRun: true,
 	}
 	start := time.Now()
-	switch {
-	case p.useTree:
-		e.tree = ttm.NewDTree(e.storage)
+	if p.useTree {
+		e.tree = ttm.NewDTree(e.x)
 		e.tree.SetSchedule(e.opts.Schedule)
-	case p.useFiber:
-		e.fiber = ttm.NewCSFTTMc(e.csf)
-		e.fiber.SetSchedule(e.opts.Schedule)
-	case p.useLin:
-		e.lin = ttm.NewALTOTTMc(e.alto, e.sym)
-		e.lin.SetSchedule(e.opts.Schedule)
 	}
 	e.symTime = time.Since(start)
 	e.state = NewSweepState(initFactors(p.x, e.opts, startRanks(p.x, e.opts)), e.opts.Seed)
@@ -176,18 +158,9 @@ func (e *Engine) Result() *Result { return e.res }
 // a copy).
 func (e *Engine) Factors() []*dense.Matrix { return e.state.Factors }
 
-// Tensor returns the engine's current tensor state in coordinate
-// format. For COO engines this is the live stable-id tensor (do not
-// mutate); CSF and ALTO engines expand a fresh copy.
-func (e *Engine) Tensor() *tensor.COO {
-	switch {
-	case e.csf != nil:
-		return e.csf.ToCOO()
-	case e.alto != nil:
-		return e.alto.ToCOO()
-	}
-	return e.x
-}
+// Tensor returns the engine's current tensor state: the live
+// stable-id tensor (do not mutate).
+func (e *Engine) Tensor() *tensor.COO { return e.x }
 
 // Run converges the decomposition from the engine's current factors
 // (the cold start on the first call, the previous solution afterwards)
@@ -210,13 +183,8 @@ func (e *Engine) shapeYs() {
 }
 
 func (e *Engine) flopsTotal() int64 {
-	switch {
-	case e.tree != nil:
+	if e.tree != nil {
 		return e.tree.Flops()
-	case e.fiber != nil:
-		return e.fiber.Flops()
-	case e.lin != nil:
-		return e.lin.Flops()
 	}
 	return e.flatFlops
 }
@@ -255,10 +223,9 @@ func (e *Engine) warmVec(n int, sm *symbolic.Mode) []float64 {
 // warm-start every TRSVD from the previous factors.
 func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	opts := e.opts
-	res := &Result{Format: opts.Format, IndexBytes: e.storage.IndexBytes()}
+	res := &Result{IndexBytes: e.x.IndexBytes()}
 	res.Timings.Symbolic = e.symTime
 	if e.firstRun {
-		res.Timings.Convert = e.plan.convertTime
 		res.Timings.Symbolic += e.plan.symbolicTime
 	}
 	e.symTime = 0
@@ -326,16 +293,11 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			}
 
 			t0 := time.Now()
-			switch {
-			case e.tree != nil:
+			if e.tree != nil {
 				e.tree.TTMc(e.ys[n], n, e.state.Factors, opts.Threads)
-			case e.fiber != nil:
-				e.fiber.TTMc(e.ys[n], n, e.state.Factors, opts.Threads)
-			case e.lin != nil:
-				e.lin.TTMc(e.ys[n], n, e.state.Factors, opts.Threads)
-			default:
-				ttm.TTMcSched(e.ys[n], e.flatX, sm, e.state.Factors, opts.Threads, opts.Schedule)
-				e.flatFlops += ttm.Flops(e.flatX.NNZ(), e.ys[n].Cols)
+			} else {
+				ttm.TTMcSched(e.ys[n], e.x, sm, e.state.Factors, opts.Threads, opts.Schedule)
+				e.flatFlops += ttm.Flops(e.x.NNZ(), e.ys[n].Cols)
 			}
 			res.Timings.TTMc += time.Since(t0)
 
@@ -414,57 +376,32 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 }
 
 // ensureOwned clones the shared plan structures the first time the
-// engine is about to mutate them, and rebinds the numeric TTMc engines
-// onto the clones (their caches stay valid — the clone is
-// bit-identical). The plan, and the caller's tensor, are never touched
-// by updates.
+// engine is about to mutate them, and rebinds the dimension tree onto
+// the clone (its caches stay valid — the clone is bit-identical). The
+// plan, and the caller's tensor, are never touched by updates.
 func (e *Engine) ensureOwned() {
 	if e.owned {
 		return
 	}
 	e.owned = true
 	e.sym = e.sym.Clone()
-	switch {
-	case e.csf != nil:
-		e.csf = e.csf.Clone()
-		e.storage = e.csf
-		if e.fiber != nil {
-			e.fiber.Rebind(e.csf)
-		}
-		if e.tree != nil {
-			e.tree.Rebind(e.csf)
-		}
-	case e.alto != nil:
-		e.alto = e.alto.Clone()
-		e.storage = e.alto
-		if e.lin != nil {
-			e.lin.Rebind(e.alto, e.sym)
-		}
-		if e.tree != nil {
-			e.tree.Rebind(e.alto)
-		}
-	default:
-		e.x = e.x.Clone()
-		e.storage = e.x
-		e.flatX = e.x
-		if e.tree != nil {
-			e.tree.Rebind(e.x)
-		}
+	e.x = e.x.Clone()
+	if e.tree != nil {
+		e.tree.Rebind(e.x)
 	}
 }
 
 // Update ingests a coordinate delta — appended and changed nonzeros,
 // duplicates summed — and re-converges from the current factors. The
 // delta flows through the incremental path of every layer: the tensor
-// merge keeps existing storage positions stable (COO), splices new
-// fibers without a re-sort (CSF), or linearly merges the sorted key
-// stream (ALTO), the symbolic update lists of touched
-// slices are spliced rather than rebuilt, the dimension tree marks
-// exactly the entries whose group changed as dirty and recomputes only
-// those, and every TRSVD is warm-started from the previous factors. The
-// result carries the update accounting: sweeps to re-converge, the TTMc
-// madds actually executed, and the recompute-everything cost they
-// replace (FullSweepMadds).
+// merge keeps existing storage positions stable and appends new
+// coordinates at the tail, the symbolic update lists of touched slices
+// are spliced rather than rebuilt, the dimension tree marks exactly the
+// entries whose group changed as dirty and recomputes only those, and
+// every TRSVD is warm-started from the previous factors. The result
+// carries the update accounting: sweeps to re-converge, the TTMc madds
+// actually executed, and the recompute-everything cost they replace
+// (FullSweepMadds).
 //
 // A validation error (shape mismatch, out-of-range coordinate) leaves
 // the engine state untouched.
@@ -476,91 +413,23 @@ func (e *Engine) Update(delta *tensor.COO) (*Result, error) {
 func (e *Engine) UpdateContext(ctx context.Context, delta *tensor.COO) (*Result, error) {
 	e.ensureOwned()
 	start := time.Now()
-	var deltaNNZ int
-	if e.alto != nil {
-		info, err := e.alto.Merge(delta)
-		if err != nil {
-			return nil, err
-		}
-		deltaNNZ = len(info.Updated) + info.Inserted
-		if info.Structural {
-			// Insertions shifted the storage positions of the single key
-			// stream: re-derive the symbolic layers (one stream sweep)
-			// and rebuild the numeric engine on them.
-			e.sym = symbolic.Build(e.alto, e.opts.Threads)
-			switch {
-			case e.tree != nil:
-				e.tree = ttm.NewDTree(e.alto)
-				e.tree.SetSchedule(e.opts.Schedule)
-			case e.lin != nil:
-				e.lin = ttm.NewALTOTTMc(e.alto, e.sym)
-				e.lin.SetSchedule(e.opts.Schedule)
-			default:
-				e.flatX = e.alto.ToCOO()
-			}
-		} else {
-			// Value-only: every position and update list is unchanged;
-			// just tell the tree which entries went stale.
-			if e.tree != nil {
-				e.tree.ApplyDelta(info.Updated, e.alto.NNZ())
-			}
-			if e.tree == nil && e.lin == nil {
-				e.flatX = e.alto.ToCOO() // order-1 corner reads copied values
-			}
-		}
-	} else if e.csf != nil {
-		info, err := e.csf.Merge(delta)
-		if err != nil {
-			return nil, err
-		}
-		deltaNNZ = len(info.Updated) + info.Inserted
-		switch {
-		case info.Structural:
-			// New fibers shifted the storage positions: re-derive the
-			// symbolic layers from the re-pressed tensor. The linear
-			// fiber-based rebuild is cheap; only the dimension tree's
-			// numeric caches are genuinely lost.
-			e.sym = symbolic.Build(e.csf, e.opts.Threads)
-			switch {
-			case e.tree != nil:
-				e.tree = ttm.NewDTree(e.csf)
-				e.tree.SetSchedule(e.opts.Schedule)
-			case e.fiber != nil:
-				e.fiber = ttm.NewCSFTTMc(e.csf)
-				e.fiber.SetSchedule(e.opts.Schedule)
-			default:
-				e.flatX = e.csf.ToCOO()
-			}
-		default:
-			// Value-only: every position, fiber, and update list is
-			// unchanged; just tell the tree which entries went stale.
-			if e.tree != nil {
-				e.tree.ApplyDelta(info.Updated, e.csf.NNZ())
-			}
-			if e.tree == nil && e.fiber == nil {
-				e.flatX = e.csf.ToCOO() // order-1 corner reads copied values
-			}
-		}
-	} else {
-		oldNNZ := e.x.NNZ()
-		if e.mergeIx == nil {
-			e.mergeIx = e.x.NewMergeIndex()
-		}
-		info, err := e.x.MergeIndexed(delta, e.mergeIx)
-		if err != nil {
-			return nil, err
-		}
-		deltaNNZ = len(info.Updated) + info.Appended
-		if info.Appended > 0 {
-			if _, err := e.sym.Insert(e.x, oldNNZ); err != nil {
-				return nil, fmt.Errorf("core: incremental symbolic maintenance failed: %w", err)
-			}
-		}
-		if e.tree != nil {
-			e.tree.ApplyDelta(info.Updated, oldNNZ)
+	oldNNZ := e.x.NNZ()
+	if e.mergeIx == nil {
+		e.mergeIx = e.x.NewMergeIndex()
+	}
+	info, err := e.x.MergeIndexed(delta, e.mergeIx)
+	if err != nil {
+		return nil, err
+	}
+	if info.Appended > 0 {
+		if _, err := e.sym.Insert(e.x, oldNNZ); err != nil {
+			return nil, fmt.Errorf("core: incremental symbolic maintenance failed: %w", err)
 		}
 	}
-	e.normX = e.storage.Norm(e.opts.Threads)
+	if e.tree != nil {
+		e.tree.ApplyDelta(info.Updated, oldNNZ)
+	}
+	e.normX = e.x.Norm(e.opts.Threads)
 	e.shapeYs()
 	e.symTime += time.Since(start)
 
@@ -570,7 +439,7 @@ func (e *Engine) UpdateContext(ctx context.Context, delta *tensor.COO) (*Result,
 	}
 	res.UpdateSweeps = res.Iters
 	res.UpdateMadds = res.TTMcFlops
-	res.FullSweepMadds = ttm.SweepFlops(e.storage.NNZ(), e.state.Factors)
-	res.DeltaNNZ = deltaNNZ
+	res.FullSweepMadds = ttm.SweepFlops(e.x.NNZ(), e.state.Factors)
+	res.DeltaNNZ = len(info.Updated) + info.Appended
 	return res, nil
 }

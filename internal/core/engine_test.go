@@ -28,10 +28,9 @@ func presetTensor(t *testing.T, name string, scale float64) (*tensor.COO, []int)
 // TestEngineUpdateMatchesScratch is the acceptance bar of the
 // incremental path: after a ~1% delta on a 3-mode and a 4-mode preset,
 // Engine.Update must re-converge to within 1e-8 of a from-scratch solve
-// of the merged tensor, for both storage formats and both TTMc
-// strategies, while never executing more TTMc madds per re-convergence
-// sweep than a recompute-everything flat sweep — and strictly fewer on
-// the memoized paths.
+// of the merged tensor, for both TTMc strategies, while never executing
+// more TTMc madds per re-convergence sweep than a recompute-everything
+// flat sweep — and strictly fewer on the memoized dimension tree.
 func TestEngineUpdateMatchesScratch(t *testing.T) {
 	for _, name := range []string{"netflix", "flickr"} {
 		x, ranks := presetTensor(t, name, 0.02)
@@ -40,48 +39,45 @@ func TestEngineUpdateMatchesScratch(t *testing.T) {
 		if _, err := merged.Merge(delta); err != nil {
 			t.Fatal(err)
 		}
-		for _, format := range []Format{FormatCOO, FormatCSF, FormatALTO} {
-			for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
-				opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 7, TTMc: strat, Format: format}
-				p, err := NewPlan(x, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := NewEngine(p)
-				if _, err := e.Run(context.Background()); err != nil {
-					t.Fatalf("%s fmt=%v strat=%v run: %v", name, format, strat, err)
-				}
-				ru, err := e.Update(delta)
-				if err != nil {
-					t.Fatalf("%s fmt=%v strat=%v update: %v", name, format, strat, err)
-				}
-				rc, err := Decompose(merged, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := math.Abs(ru.Fit - rc.Fit); d > 1e-8 {
-					t.Fatalf("%s fmt=%v strat=%v: incremental fit %v vs scratch %v (|d|=%g)",
-						name, format, strat, ru.Fit, rc.Fit, d)
-				}
-				if ru.UpdateSweeps <= 0 || ru.UpdateSweeps != ru.Iters {
-					t.Fatalf("%s: update sweep accounting broken (%d vs %d)", name, ru.UpdateSweeps, ru.Iters)
-				}
-				if ru.UpdateMadds <= 0 || ru.FullSweepMadds <= 0 {
-					t.Fatalf("%s: update madds accounting missing (%d, %d)", name, ru.UpdateMadds, ru.FullSweepMadds)
-				}
-				perSweep := ru.UpdateMadds / int64(ru.UpdateSweeps)
-				if perSweep > ru.FullSweepMadds {
-					t.Fatalf("%s fmt=%v strat=%v: update executed %d madds/sweep, full sweep is %d",
-						name, format, strat, perSweep, ru.FullSweepMadds)
-				}
-				memoized := strat == TTMcDTree || (format == FormatCSF && x.Order() >= 2)
-				if memoized && perSweep >= ru.FullSweepMadds {
-					t.Fatalf("%s fmt=%v strat=%v: memoized update should beat the full sweep (%d vs %d)",
-						name, format, strat, perSweep, ru.FullSweepMadds)
-				}
-				if ru.DeltaNNZ <= 0 {
-					t.Fatalf("%s: DeltaNNZ not recorded", name)
-				}
+		for _, strat := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
+			opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 7, TTMc: strat}
+			p, err := NewPlan(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(p)
+			if _, err := e.Run(context.Background()); err != nil {
+				t.Fatalf("%s strat=%v run: %v", name, strat, err)
+			}
+			ru, err := e.Update(delta)
+			if err != nil {
+				t.Fatalf("%s strat=%v update: %v", name, strat, err)
+			}
+			rc, err := Decompose(merged, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(ru.Fit - rc.Fit); d > 1e-8 {
+				t.Fatalf("%s strat=%v: incremental fit %v vs scratch %v (|d|=%g)",
+					name, strat, ru.Fit, rc.Fit, d)
+			}
+			if ru.UpdateSweeps <= 0 || ru.UpdateSweeps != ru.Iters {
+				t.Fatalf("%s: update sweep accounting broken (%d vs %d)", name, ru.UpdateSweeps, ru.Iters)
+			}
+			if ru.UpdateMadds <= 0 || ru.FullSweepMadds <= 0 {
+				t.Fatalf("%s: update madds accounting missing (%d, %d)", name, ru.UpdateMadds, ru.FullSweepMadds)
+			}
+			perSweep := ru.UpdateMadds / int64(ru.UpdateSweeps)
+			if perSweep > ru.FullSweepMadds {
+				t.Fatalf("%s strat=%v: update executed %d madds/sweep, full sweep is %d",
+					name, strat, perSweep, ru.FullSweepMadds)
+			}
+			if strat == TTMcDTree && perSweep >= ru.FullSweepMadds {
+				t.Fatalf("%s strat=%v: memoized update should beat the full sweep (%d vs %d)",
+					name, strat, perSweep, ru.FullSweepMadds)
+			}
+			if ru.DeltaNNZ <= 0 {
+				t.Fatalf("%s: DeltaNNZ not recorded", name)
 			}
 		}
 	}
@@ -134,40 +130,38 @@ func TestEngineUpdateScale02(t *testing.T) {
 // TestEngineUpdateDeterminism pins the bitwise thread- and schedule-
 // invariance contract of the update path: the re-convergence fit
 // trajectory must be identical for every thread count and every
-// schedule, on both storage formats.
+// schedule.
 func TestEngineUpdateDeterminism(t *testing.T) {
 	x, ranks := presetTensor(t, "flickr", 0.02)
 	delta := gen.Delta(x, 0.01, 0.01, 5)
-	for _, format := range []Format{FormatCOO, FormatCSF, FormatALTO} {
-		var ref []float64
-		for _, threads := range []int{1, 2, 4, 8} {
-			for _, sched := range []Schedule{ScheduleBalanced, ScheduleDynamic, ScheduleStatic} {
-				opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3,
-					TTMc: TTMcDTree, Format: format, Threads: threads, Schedule: sched}
-				p, err := NewPlan(x, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e := NewEngine(p)
-				if _, err := e.Run(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				ru, err := e.Update(delta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref == nil {
-					ref = ru.FitHistory
-					continue
-				}
-				if len(ru.FitHistory) != len(ref) {
-					t.Fatalf("fmt=%v threads=%d sched=%v: %d sweeps vs %d", format, threads, sched, len(ru.FitHistory), len(ref))
-				}
-				for i := range ref {
-					if ru.FitHistory[i] != ref[i] {
-						t.Fatalf("fmt=%v threads=%d sched=%v: update fit trajectory diverged at sweep %d (%v vs %v)",
-							format, threads, sched, i, ru.FitHistory[i], ref[i])
-					}
+	var ref []float64
+	for _, threads := range []int{1, 2, 4, 8} {
+		for _, sched := range []Schedule{ScheduleBalanced, ScheduleDynamic, ScheduleStatic} {
+			opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3,
+				TTMc: TTMcDTree, Threads: threads, Schedule: sched}
+			p, err := NewPlan(x, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := NewEngine(p)
+			if _, err := e.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			ru, err := e.Update(delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = ru.FitHistory
+				continue
+			}
+			if len(ru.FitHistory) != len(ref) {
+				t.Fatalf("threads=%d sched=%v: %d sweeps vs %d", threads, sched, len(ru.FitHistory), len(ref))
+			}
+			for i := range ref {
+				if ru.FitHistory[i] != ref[i] {
+					t.Fatalf("threads=%d sched=%v: update fit trajectory diverged at sweep %d (%v vs %v)",
+						threads, sched, i, ru.FitHistory[i], ref[i])
 				}
 			}
 		}
@@ -218,7 +212,7 @@ func TestEnginePlanReuse(t *testing.T) {
 // merged tensor.
 func TestEngineSequentialUpdates(t *testing.T) {
 	x, ranks := presetTensor(t, "flickr", 0.01)
-	opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 13, Format: FormatCSF, TTMc: TTMcDTree}
+	opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 13, TTMc: TTMcDTree}
 	p, err := NewPlan(x, opts)
 	if err != nil {
 		t.Fatal(err)

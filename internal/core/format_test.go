@@ -8,10 +8,11 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// TestFormatEquivalence checks the acceptance bar of the storage layer:
-// on the 3- and 4-mode benchmark presets, the CSF and ALTO paths must
-// reproduce the COO path's fit to 1e-8 for both TTMc strategies, with
-// strictly smaller index storage.
+// TestFormatEquivalence checks the contract of the storage layer: on
+// the 3- and 4-mode benchmark presets the solver runs on the caller's
+// COO as is, so the index is exactly N x nnz x 4 bytes, no conversion
+// time is charged, and the flat and dimension-tree strategies reproduce
+// each other's fit to 1e-8 over that one storage.
 func TestFormatEquivalence(t *testing.T) {
 	for _, name := range []string{"netflix", "flickr"} {
 		cfg, err := gen.Preset(name, 0.02)
@@ -25,212 +26,46 @@ func TestFormatEquivalence(t *testing.T) {
 				ranks[n] = x.Dims[n]
 			}
 		}
+		var fits []float64
 		for _, strategy := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
-			base := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 7, TTMc: strategy}
-			coo := base
-			coo.Format = FormatCOO
-			csf := base
-			csf.Format = FormatCSF
-			rc, err := Decompose(x, coo)
+			opts := Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 7, TTMc: strategy}
+			r, err := Decompose(x, opts)
 			if err != nil {
-				t.Fatalf("%s coo: %v", name, err)
+				t.Fatalf("%s strategy=%d: %v", name, strategy, err)
 			}
-			alto := base
-			alto.Format = FormatALTO
-			rf, err := Decompose(x, csf)
-			if err != nil {
-				t.Fatalf("%s csf: %v", name, err)
+			if want := int64(x.Order()) * int64(x.NNZ()) * 4; r.IndexBytes != want {
+				t.Fatalf("%s strategy=%d: index bytes %d, want %d", name, strategy, r.IndexBytes, want)
 			}
-			ra, err := Decompose(x, alto)
-			if err != nil {
-				t.Fatalf("%s alto: %v", name, err)
+			if r.Timings.Convert != 0 {
+				t.Fatalf("%s strategy=%d: convert phase charged %v", name, strategy, r.Timings.Convert)
 			}
-			if d := math.Abs(rc.Fit - rf.Fit); d > 1e-8 {
-				t.Fatalf("%s strategy=%d: fit diverges by %g (coo %v, csf %v)",
-					name, strategy, d, rc.Fit, rf.Fit)
-			}
-			if d := math.Abs(rf.Fit - ra.Fit); d > 1e-8 {
-				t.Fatalf("%s strategy=%d: ALTO fit diverges from CSF by %g (csf %v, alto %v)",
-					name, strategy, d, rf.Fit, ra.Fit)
-			}
-			if rf.Format != FormatCSF || rc.Format != FormatCOO || ra.Format != FormatALTO {
-				t.Fatalf("%s: Result.Format not recorded", name)
-			}
-			if rf.IndexBytes >= rc.IndexBytes {
-				t.Fatalf("%s: CSF index bytes %d not below COO %d", name, rf.IndexBytes, rc.IndexBytes)
-			}
-			if ra.IndexBytes >= rc.IndexBytes {
-				t.Fatalf("%s: ALTO index bytes %d not below COO %d", name, ra.IndexBytes, rc.IndexBytes)
-			}
-			if ra.IndexBytes != int64(x.Clone().SortDedup().NNZ())*8 {
-				t.Fatalf("%s: ALTO index bytes %d, want 8 per canonical nonzero", name, ra.IndexBytes)
-			}
-			if rf.IndexBytes <= 0 || rc.IndexBytes != int64(x.Order())*int64(x.NNZ())*4 {
-				t.Fatalf("%s: index byte accounting broken", name)
-			}
-			if strategy == TTMcFlat && rf.TTMcFlops >= rc.TTMcFlops {
-				t.Fatalf("%s: CSF fiber walk did %d madds, flat did %d", name, rf.TTMcFlops, rc.TTMcFlops)
-			}
+			fits = append(fits, r.Fit)
+		}
+		if d := math.Abs(fits[0] - fits[1]); d > 1e-8 {
+			t.Fatalf("%s: fit diverges by %g (flat %v, dtree %v)", name, d, fits[0], fits[1])
 		}
 	}
 }
 
-// TestFormatModeOrderKnob runs the CSF path under an explicit storage
-// permutation and checks it still matches COO.
-func TestFormatModeOrderKnob(t *testing.T) {
-	cfg, err := gen.Preset("netflix", 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := gen.Random(cfg)
-	ranks := gen.PaperRanks(3)
-	for n := range ranks {
-		if ranks[n] > x.Dims[n] {
-			ranks[n] = x.Dims[n]
-		}
-	}
-	base := Options{Ranks: ranks, MaxIters: 2, Tol: -1, Seed: 3}
-	rc, err := Decompose(x, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csf := base
-	csf.Format = FormatCSF
-	csf.CSFModeOrder = []int{2, 0, 1}
-	rf, err := Decompose(x, csf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(rc.Fit - rf.Fit); d > 1e-8 {
-		t.Fatalf("custom mode order diverges by %g", d)
-	}
-}
-
-// TestFormatStringAndValidate pins the flag spellings the CLI relies
-// on and the error/fallback behavior of the format options.
-func TestFormatStringAndValidate(t *testing.T) {
-	if FormatCOO.String() != "coo" || FormatCSF.String() != "csf" || FormatALTO.String() != "alto" {
-		t.Fatal("Format.String spelling changed")
-	}
-	for _, name := range FormatNames() {
-		f, err := ParseFormat(name)
-		if err != nil {
-			t.Fatalf("ParseFormat(%q): %v", name, err)
-		}
-		if f.String() != name {
-			t.Fatalf("ParseFormat(%q) round-trips to %q", name, f.String())
-		}
-	}
-	if _, err := ParseFormat("hicoo"); err == nil {
-		t.Fatal("ParseFormat accepted an unknown format")
-	}
-	if usage := FormatUsage(); usage == "" {
-		t.Fatal("FormatUsage is empty")
-	}
-	x := tensor.NewCOO([]int{3, 3}, 0)
-	x.Append([]int{0, 0}, 1)
-	opts := Options{Ranks: []int{1, 1}, Format: FormatCSF, MaxIters: 1, Tol: -1}
-	if _, err := Decompose(x, opts); err != nil {
-		t.Fatalf("order-2 CSF decompose: %v", err)
-	}
-	// A malformed mode order must surface as an error, not a panic.
-	opts.CSFModeOrder = []int{0, 0}
-	if _, err := Decompose(x, opts); err == nil {
-		t.Fatal("non-permutation CSFModeOrder accepted")
-	}
-	opts.CSFModeOrder = []int{0}
-	if _, err := Decompose(x, opts); err == nil {
-		t.Fatal("short CSFModeOrder accepted")
-	}
-	// An out-of-range Format value errors instead of panicking.
-	bad := Options{Ranks: []int{1, 1}, Format: Format(99), MaxIters: 1, Tol: -1}
-	if _, err := Decompose(x, bad); err == nil {
-		t.Fatal("out-of-range Format accepted")
-	}
-	// A shape wider than the 128-bit split-key limit is rejected up
-	// front under FormatALTO rather than panicking inside the build.
-	wide := tensor.NewCOO([]int{1 << 30, 1 << 30, 1 << 30, 1 << 30, 1 << 30}, 0)
-	wide.Append([]int{0, 0, 0, 0, 0}, 1)
-	wopts := Options{Ranks: []int{1, 1, 1, 1, 1}, Format: FormatALTO, MaxIters: 1, Tol: -1}
-	if _, err := Decompose(wide, wopts); err == nil {
-		t.Fatal("overwide ALTO shape accepted")
-	}
-}
-
-// TestFormatOrder1 covers the corner the fiber engine does not model:
-// an order-1 tensor must decompose identically under both formats.
+// TestFormatOrder1 covers the order-1 corner the dimension tree does
+// not model: the dtree strategy falls back to the flat kernel and must
+// match it bitwise.
 func TestFormatOrder1(t *testing.T) {
 	x := tensor.NewCOO([]int{6}, 0)
 	x.Append([]int{4}, 2)
 	x.Append([]int{1}, 3)
 	x.Append([]int{0}, -1)
-	base := Options{Ranks: []int{1}, MaxIters: 2, Tol: -1, Seed: 1}
-	rc, err := Decompose(x, base)
+	opts := Options{Ranks: []int{1}, MaxIters: 2, Tol: -1, Seed: 1}
+	flat, err := Decompose(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.Format = FormatCSF
-	rf, err := Decompose(x, base)
+	opts.TTMc = TTMcDTree
+	tree, err := Decompose(x, opts)
 	if err != nil {
-		t.Fatalf("order-1 CSF decompose: %v", err)
+		t.Fatalf("order-1 dtree decompose: %v", err)
 	}
-	if d := math.Abs(rc.Fit - rf.Fit); d > 1e-12 {
-		t.Fatalf("order-1 formats diverge by %g", d)
-	}
-	base.Format = FormatALTO
-	ra, err := Decompose(x, base)
-	if err != nil {
-		t.Fatalf("order-1 ALTO decompose: %v", err)
-	}
-	if d := math.Abs(rc.Fit - ra.Fit); d > 1e-12 {
-		t.Fatalf("order-1 ALTO diverges by %g", d)
-	}
-}
-
-// TestFormatALTODeterminism pins the ALTO acceptance criterion: the fit
-// trajectory of a `-format alto` cold solve is bitwise identical for
-// every thread count and every schedule, on a 3- and a 4-mode preset,
-// for both TTMc strategies (flat drives the linearized kernel, dtree
-// the memoized tree over the ALTO storage order).
-func TestFormatALTODeterminism(t *testing.T) {
-	for _, name := range []string{"netflix", "flickr"} {
-		cfg, err := gen.Preset(name, 0.02)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := gen.Random(cfg)
-		ranks := gen.PaperRanks(x.Order())
-		for n := range ranks {
-			if ranks[n] > x.Dims[n] {
-				ranks[n] = x.Dims[n]
-			}
-		}
-		for _, strategy := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
-			var ref []float64
-			for _, threads := range []int{1, 2, 4, 8} {
-				for _, sched := range []Schedule{ScheduleBalanced, ScheduleDynamic, ScheduleStatic} {
-					opts := Options{Ranks: ranks, MaxIters: 4, Tol: -1, Seed: 11,
-						Format: FormatALTO, TTMc: strategy, Threads: threads, Schedule: sched}
-					r, err := Decompose(x, opts)
-					if err != nil {
-						t.Fatalf("%s strat=%v threads=%d: %v", name, strategy, threads, err)
-					}
-					if ref == nil {
-						ref = r.FitHistory
-						continue
-					}
-					if len(r.FitHistory) != len(ref) {
-						t.Fatalf("%s strat=%v threads=%d sched=%v: trajectory length changed",
-							name, strategy, threads, sched)
-					}
-					for i := range ref {
-						if r.FitHistory[i] != ref[i] {
-							t.Fatalf("%s strat=%v threads=%d sched=%v: fit[%d] = %v, want %v (bit drift)",
-								name, strategy, threads, sched, i, r.FitHistory[i], ref[i])
-						}
-					}
-				}
-			}
-		}
+	if flat.Fit != tree.Fit {
+		t.Fatalf("order-1 strategies diverge: flat %v, dtree %v", flat.Fit, tree.Fit)
 	}
 }

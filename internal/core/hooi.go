@@ -12,9 +12,9 @@ import (
 // Timings accumulates wall-clock time per HOOI phase across all
 // iterations; it backs the Table IV / Table V breakdowns.
 type Timings struct {
-	// Convert is the one-time storage-format construction: zero for
-	// FormatCOO, the sort/dedup and fiber-level build for FormatCSF, the
-	// key encoding and sort/dedup for FormatALTO.
+	// Convert is the one-time storage-format construction. COO is the
+	// only storage and needs none, so it is always 0; the field stays
+	// for reports that break setup down by phase.
 	Convert  time.Duration
 	Symbolic time.Duration // one-time symbolic TTMc preprocessing (and, for updates, the incremental maintenance)
 	TTMc     time.Duration
@@ -48,14 +48,10 @@ type Result struct {
 	Timings Timings
 	// TTMcFlops is the multiply-add count of all TTMc work performed
 	// (dominant AXPY terms): for the flat strategy, modes x sweeps x
-	// nnz x row size; for the dimension tree or the CSF fiber walk, the
-	// memoized/hoisted — typically much smaller — actual count.
+	// nnz x row size; for the dimension tree, the memoized — typically
+	// much smaller — actual count.
 	TTMcFlops int64
-	// Format is the sparse storage layout the decomposition ran on.
-	Format Format
-	// IndexBytes is the index storage of that layout (COO: N x nnz x 4
-	// bytes; CSF: the compressed fiber levels and pointers; ALTO: 8 or
-	// 16 bytes per nonzero of linearized keys).
+	// IndexBytes is the coordinate index storage: N x nnz x 4 bytes.
 	IndexBytes int64
 	// AllocsPerSweep is the steady-state heap allocation count per ALS
 	// sweep (the first sweep, which grows the workspace arenas, is
@@ -79,7 +75,7 @@ type Result struct {
 	UpdateSweeps int
 	// UpdateMadds is the TTMc multiply-add count actually executed
 	// during the re-convergence (dirty dimension-tree entries plus leaf
-	// emissions, or the fiber-walk count).
+	// emissions, or the flat-kernel count).
 	UpdateMadds int64
 	// FullSweepMadds is the multiply-add count of ONE recompute-
 	// everything flat sweep over all modes at the post-update tensor

@@ -218,10 +218,12 @@ func TestHOSVDInitSpeedsConvergence(t *testing.T) {
 func TestValidateErrors(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{5, 5, 5}, NNZ: 20, Seed: 15})
 	cases := []Options{
-		{Ranks: []int{2, 2}},    // wrong rank count
-		{Ranks: []int{0, 2, 2}}, // nonpositive rank
-		{Ranks: []int{6, 2, 2}}, // rank exceeds dim
-		{Ranks: []int{5, 1, 1}}, // rank exceeds product of others
+		{Ranks: []int{2, 2}},                  // wrong rank count
+		{Ranks: []int{0, 2, 2}},               // nonpositive rank
+		{Ranks: []int{6, 2, 2}},               // rank exceeds dim
+		{Ranks: []int{5, 1, 1}},               // rank exceeds product of others
+		{Ranks: []int{2, 2, 2}, MaxIters: -1}, // negative sweep cap
+		{Ranks: []int{2, 2, 2}, Threads: -1},  // negative thread count
 	}
 	for i, o := range cases {
 		if _, err := Decompose(x, o); err == nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/par"
@@ -17,10 +16,9 @@ import (
 type Schedule = par.Schedule
 
 const (
-	// ScheduleBalanced (the default) partitions rows/fibers into
-	// per-worker chains of near-equal nonzero weight — prefix-sum
-	// chain-on-chain, or LPT where single slices dominate — and steals
-	// chunks for irregular tails. This is the paper's load-balance
+	// ScheduleBalanced (the default) partitions rows into per-worker
+	// chains of near-equal nonzero weight (prefix-sum chain-on-chain)
+	// and steals chunks for irregular tails. This is the paper's load-balance
 	// discipline: uniform chunking leaves whichever thread owns the
 	// heaviest slices running long after the rest go idle.
 	ScheduleBalanced = par.ScheduleBalanced
@@ -65,78 +63,10 @@ const (
 	// spends only ~1.4x less TTMc time, since the flat path runs the
 	// fused Kronecker kernel and the tree spends about half its time
 	// recomputing internal nodes. The numeric results match TTMcFlat to
-	// rounding and remain deterministic for any thread count.
+	// rounding and remain deterministic for any thread count. An
+	// order-1 tensor has no tree to build and runs the flat kernel.
 	TTMcDTree
 )
-
-// Format selects the sparse storage layout the decomposition runs on.
-type Format int
-
-const (
-	// FormatCOO keeps the tensor in coordinate format: N index streams
-	// of nnz int32 each, scanned per nonzero by the TTMc kernels. It is
-	// the reference path.
-	FormatCOO Format = iota
-	// FormatCSF converts the tensor to compressed-sparse-fiber storage
-	// (tensor.CSF) before the symbolic phase: per-root-mode fiber trees
-	// with compressed index levels. The symbolic structure is built
-	// from the fiber boundaries, and the flat TTMc strategy switches to
-	// the fiber-walking kernels (ttm.CSFTTMc), which hoist per-fiber
-	// work out of the per-nonzero loop. Index storage and TTMc
-	// multiply-adds both drop on compressible tensors; results match
-	// FormatCOO to rounding and stay deterministic for any thread
-	// count.
-	FormatCSF
-	// FormatALTO converts the tensor to the adaptive linearized format
-	// (tensor.ALTO): every coordinate packed into one bit-interleaved
-	// key, all nonzeros in a single sorted stream with no per-mode
-	// replication. The symbolic structure is recovered from the mode-bit
-	// boundaries, and the flat TTMc strategy switches to the
-	// sequential-stream kernels (ttm.ALTOTTMc) with blocked dense
-	// accumulation for short modes and owner-computes emission for long
-	// ones. Index storage is 8 bytes/nnz (16 for shapes above 64
-	// interleaved bits) independent of how compressible the fibers are —
-	// the format that wins on skewed tensors where CSF fibers stay
-	// short. Results match FormatCOO to rounding and stay deterministic
-	// for any thread count.
-	FormatALTO
-)
-
-// formatNames spells the formats the way cmd/hooi's -format flag does,
-// indexed by the Format value. It is the single source of truth the
-// CLI usage strings, the parser, and String derive from.
-var formatNames = [...]string{
-	FormatCOO:  "coo",
-	FormatCSF:  "csf",
-	FormatALTO: "alto",
-}
-
-// FormatNames lists the -format flag spellings in Format value order.
-func FormatNames() []string { return append([]string(nil), formatNames[:]...) }
-
-// FormatUsage is the canonical -format flag description shared by the
-// CLIs and the docs, derived from FormatNames.
-func FormatUsage() string {
-	return "sparse storage format: coo (coordinate streams) | csf (compressed sparse fibers) | alto (adaptive linearized offsets)"
-}
-
-// ParseFormat maps a -format flag spelling to its Format value.
-func ParseFormat(s string) (Format, error) {
-	for f, name := range formatNames {
-		if s == name {
-			return Format(f), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown storage format %q (formats: %s)", s, strings.Join(formatNames[:], " | "))
-}
-
-// String names the format the way cmd/hooi's -format flag spells it.
-func (f Format) String() string {
-	if int(f) < 0 || int(f) >= len(formatNames) {
-		return fmt.Sprintf("Format(%d)", int(f))
-	}
-	return formatNames[f]
-}
 
 // SVDMethod selects the truncated SVD solver used for the TRSVD step.
 type SVDMethod int
@@ -194,13 +124,15 @@ type Options struct {
 	// (0 selects 6, negative selects none); the solver stops below the
 	// cap as soon as its Ritz energies settle.
 	PowerIters int
-	// MaxIters caps the number of ALS sweeps. 0 selects 50.
+	// MaxIters caps the number of ALS sweeps. 0 selects 50; negative
+	// is an error.
 	MaxIters int
 	// Tol stops the iteration when the fit improves by less than this
 	// between sweeps. 0 selects 1e-5. Negative disables the test (run
 	// exactly MaxIters sweeps), which the paper's benchmarks use.
 	Tol float64
-	// Threads bounds shared-memory parallelism; 0 uses GOMAXPROCS.
+	// Threads bounds shared-memory parallelism; 0 uses GOMAXPROCS;
+	// negative is an error.
 	Threads int
 	// Schedule selects the parallel loop scheduling discipline
 	// (ScheduleBalanced by default). Results are bitwise identical
@@ -213,13 +145,6 @@ type Options struct {
 	// TTMc selects the TTMc evaluation strategy (flat reference path or
 	// memoized dimension tree).
 	TTMc TTMcStrategy
-	// Format selects the sparse storage layout (coordinate streams,
-	// compressed sparse fibers, or adaptive linearized offsets).
-	Format Format
-	// CSFModeOrder overrides the CSF storage mode permutation
-	// (ModeOrder[0] is the root level). nil selects shortest-mode-first.
-	// Ignored for FormatCOO.
-	CSFModeOrder []int
 	// Seed makes the whole decomposition deterministic.
 	Seed int64
 	// MeasureAllocs records the steady-state heap allocation count per
@@ -251,6 +176,12 @@ func (o *Options) withDefaults() Options {
 func (o *Options) Validate(x *tensor.COO) error {
 	if x.NNZ() == 0 {
 		return fmt.Errorf("core: cannot decompose an empty tensor")
+	}
+	if o.MaxIters < 0 {
+		return fmt.Errorf("core: MaxIters %d is negative", o.MaxIters)
+	}
+	if o.Threads < 0 {
+		return fmt.Errorf("core: Threads %d is negative", o.Threads)
 	}
 	if o.Eps != 0 && !(o.Eps > 0 && o.Eps <= 1) {
 		return fmt.Errorf("core: Eps %v outside (0, 1]", o.Eps)
@@ -289,26 +220,6 @@ func (o *Options) Validate(x *tensor.COO) error {
 			if r > other {
 				return fmt.Errorf("core: rank %d in mode %d exceeds the product of the other ranks (%d); Y_(%d) cannot have that many singular vectors", r, n, other, n)
 			}
-		}
-	}
-	if int(o.Format) < 0 || int(o.Format) >= len(formatNames) {
-		return fmt.Errorf("core: unknown storage format %d", int(o.Format))
-	}
-	if o.Format == FormatALTO {
-		if b := tensor.ALTOTotalBits(x.Dims); b > 128 {
-			return fmt.Errorf("core: shape %v needs %d interleaved bits; the ALTO split-key limit is 128", x.Dims, b)
-		}
-	}
-	if o.Format == FormatCSF && o.CSFModeOrder != nil {
-		if len(o.CSFModeOrder) != x.Order() {
-			return fmt.Errorf("core: CSF mode order has %d modes for an order-%d tensor", len(o.CSFModeOrder), x.Order())
-		}
-		seen := make([]bool, x.Order())
-		for _, m := range o.CSFModeOrder {
-			if m < 0 || m >= x.Order() || seen[m] {
-				return fmt.Errorf("core: CSF mode order %v is not a permutation", o.CSFModeOrder)
-			}
-			seen[m] = true
 		}
 	}
 	if o.Initial != nil {

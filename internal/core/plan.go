@@ -8,86 +8,44 @@ import (
 )
 
 // Plan is the immutable per-tensor analysis of a decomposition: the
-// validated options, the storage-format build (CSF or ALTO conversion
-// when requested), the symbolic update lists, the TTMc strategy choice,
-// and the tensor norm. Everything in a Plan is a pure function of (tensor,
-// options) and is never mutated afterwards, so one Plan can back any
-// number of Engines — the resident handles that own the mutable factor
-// state and ingest deltas. Decompose is NewPlan + NewEngine + Run.
+// validated options, the symbolic update lists, the TTMc strategy
+// choice, and the tensor norm. Everything in a Plan is a pure function
+// of (tensor, options) and is never mutated afterwards, so one Plan can
+// back any number of Engines — the resident handles that own the
+// mutable factor state and ingest deltas. Decompose is NewPlan +
+// NewEngine + Run.
 type Plan struct {
-	opts Options
-	x    *tensor.COO // the caller's tensor; engines clone before mutating
+	opts  Options
+	x     *tensor.COO // the caller's tensor; engines clone before mutating
+	sym   *symbolic.Structure
+	normX float64
 
-	csf     *tensor.CSF
-	alto    *tensor.ALTO
-	storage tensor.Sparse
-	flatX   *tensor.COO // coordinate view for the flat kernel
-	sym     *symbolic.Structure
-	normX   float64
+	useTree bool
 
-	useTree  bool
-	useFiber bool
-	useLin   bool
-
-	convertTime  time.Duration
 	symbolicTime time.Duration
 }
 
 // NewPlan validates the options and performs the one-time symbolic
-// setup for x: storage-format construction, norm, per-mode update
-// lists, and the TTMc strategy decision. x is not copied — it must not
-// be mutated while plans or engines built from it are in use (engines
-// clone it lazily before their first Update, so Engine.Update never
-// mutates the caller's tensor).
+// setup for x: norm, per-mode update lists, and the TTMc strategy
+// decision. x is not copied — it must not be mutated while plans or
+// engines built from it are in use (engines clone it lazily before
+// their first Update, so Engine.Update never mutates the caller's
+// tensor).
 func NewPlan(x *tensor.COO, optsIn Options) (*Plan, error) {
 	if err := optsIn.Validate(x); err != nil {
 		return nil, err
 	}
 	p := &Plan{opts: optsIn.withDefaults(), x: x}
-	var storage tensor.Sparse = x
-	switch p.opts.Format {
-	case FormatCSF:
-		start := time.Now()
-		p.csf = tensor.NewCSF(x, tensor.CSFOptions{ModeOrder: p.opts.CSFModeOrder, Threads: p.opts.Threads})
-		p.convertTime = time.Since(start)
-		storage = p.csf
-	case FormatALTO:
-		start := time.Now()
-		p.alto = tensor.NewALTO(x, tensor.ALTOOptions{Threads: p.opts.Threads})
-		p.convertTime = time.Since(start)
-		storage = p.alto
-	}
-	p.storage = storage
-	p.normX = storage.Norm(p.opts.Threads)
+	p.normX = x.Norm(p.opts.Threads)
 
 	start := time.Now()
-	p.sym = symbolic.Build(storage, p.opts.Threads)
-	// The flat kernel consumes coordinate storage whose nonzero order
-	// matches the symbolic structure; for CSF that is the fiber order,
-	// but the fiber engine replaces it except in the order-1 corner the
-	// engine does not model.
-	p.flatX = x
-	switch {
-	case p.opts.TTMc == TTMcDTree:
-		p.useTree = true
-	case p.csf != nil && x.Order() >= 2:
-		p.useFiber = true
-	case p.alto != nil && x.Order() >= 2:
-		p.useLin = true
-	case p.csf != nil:
-		p.flatX = p.csf.ToCOO()
-	case p.alto != nil:
-		p.flatX = p.alto.ToCOO()
-	}
+	p.sym = symbolic.Build(x, p.opts.Threads)
+	// The dimension tree needs two modes to split; an order-1 tensor
+	// runs the flat kernel under either strategy.
+	p.useTree = p.opts.TTMc == TTMcDTree && x.Order() >= 2
 	p.symbolicTime = time.Since(start)
 	return p, nil
 }
 
 // Options returns a copy of the validated options (defaults applied).
 func (p *Plan) Options() Options { return p.opts }
-
-// Format reports the storage layout the plan was built for.
-func (p *Plan) Format() Format { return p.opts.Format }
-
-// IndexBytes reports the index storage of the plan's layout.
-func (p *Plan) IndexBytes() int64 { return p.storage.IndexBytes() }

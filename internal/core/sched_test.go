@@ -17,38 +17,35 @@ import (
 func TestFitBitwiseInvariantAcrossThreadsAndSchedules(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	x := lowRankTensor(rng, []int{24, 18, 15, 9}, 2, 5)
-	for _, format := range []Format{FormatCOO, FormatCSF} {
-		for _, strategy := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
-			for _, sched := range []Schedule{ScheduleStatic, ScheduleBalanced, ScheduleDynamic} {
-				var ref *Result
-				for _, threads := range []int{1, 2, 4, 8} {
-					res, err := Decompose(x, Options{
-						Ranks:    []int{2, 2, 2, 2},
-						MaxIters: 4,
-						Tol:      -1,
-						Threads:  threads,
-						Schedule: sched,
-						Format:   format,
-						TTMc:     strategy,
-						Seed:     5,
-					})
-					if err != nil {
-						t.Fatalf("format=%v strategy=%v sched=%v threads=%d: %v",
-							format, strategy, sched, threads, err)
-					}
-					if ref == nil {
-						ref = res
-						continue
-					}
-					if len(res.FitHistory) != len(ref.FitHistory) {
-						t.Fatalf("format=%v strategy=%v sched=%v threads=%d: %d sweeps vs %d",
-							format, strategy, sched, threads, len(res.FitHistory), len(ref.FitHistory))
-					}
-					for i := range ref.FitHistory {
-						if res.FitHistory[i] != ref.FitHistory[i] {
-							t.Fatalf("format=%v strategy=%v sched=%v threads=%d: sweep %d fit %v != %v (not bitwise invariant)",
-								format, strategy, sched, threads, i, res.FitHistory[i], ref.FitHistory[i])
-						}
+	for _, strategy := range []TTMcStrategy{TTMcFlat, TTMcDTree} {
+		for _, sched := range []Schedule{ScheduleStatic, ScheduleBalanced, ScheduleDynamic} {
+			var ref *Result
+			for _, threads := range []int{1, 2, 4, 8} {
+				res, err := Decompose(x, Options{
+					Ranks:    []int{2, 2, 2, 2},
+					MaxIters: 4,
+					Tol:      -1,
+					Threads:  threads,
+					Schedule: sched,
+					TTMc:     strategy,
+					Seed:     5,
+				})
+				if err != nil {
+					t.Fatalf("strategy=%v sched=%v threads=%d: %v",
+						strategy, sched, threads, err)
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if len(res.FitHistory) != len(ref.FitHistory) {
+					t.Fatalf("strategy=%v sched=%v threads=%d: %d sweeps vs %d",
+						strategy, sched, threads, len(res.FitHistory), len(ref.FitHistory))
+				}
+				for i := range ref.FitHistory {
+					if res.FitHistory[i] != ref.FitHistory[i] {
+						t.Fatalf("strategy=%v sched=%v threads=%d: sweep %d fit %v != %v (not bitwise invariant)",
+							strategy, sched, threads, i, res.FitHistory[i], ref.FitHistory[i])
 					}
 				}
 			}

@@ -82,6 +82,26 @@ func TestMakePartitionErrors(t *testing.T) {
 	}
 }
 
+func TestConfigValidateErrors(t *testing.T) {
+	x := testTensor3(t)
+	part, err := MakePartition(x, 2, Fine, MethodHypergraph, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []Config{
+		{Ranks: []int{2, 2}},                  // wrong rank count
+		{Ranks: []int{0, 2, 2}},               // nonpositive rank
+		{Ranks: []int{41, 2, 2}},              // rank exceeds dim
+		{Ranks: []int{5, 1, 1}},               // rank exceeds product of others
+		{Ranks: []int{2, 2, 2}, MaxIters: -1}, // negative sweep cap
+	}
+	for i, cfg := range cases {
+		if _, err := Decompose(x, part, cfg); err == nil {
+			t.Errorf("case %d accepted an invalid config", i)
+		}
+	}
+}
+
 // The distributed algorithm computes the same HOOI iterates as the
 // shared-memory one up to floating-point reassociation in the fold and
 // the reduced TRSVD, so the per-sweep fits must agree closely when both

@@ -21,7 +21,8 @@ import (
 type Config struct {
 	// Ranks holds the target Tucker rank per mode. Required.
 	Ranks []int
-	// MaxIters caps the ALS sweeps. 0 selects 50.
+	// MaxIters caps the ALS sweeps. 0 selects 50; negative is an
+	// error.
 	MaxIters int
 	// Tol stops when the fit improves by less than this between sweeps.
 	// 0 selects 1e-5; negative disables the test.
@@ -192,6 +193,9 @@ func (cfg Config) validate(x *tensor.COO, part *Partition) error {
 	}
 	if len(cfg.Ranks) != x.Order() {
 		return fmt.Errorf("dist: %d ranks for an order-%d tensor", len(cfg.Ranks), x.Order())
+	}
+	if cfg.MaxIters < 0 {
+		return fmt.Errorf("dist: MaxIters %d is negative", cfg.MaxIters)
 	}
 	for n, r := range cfg.Ranks {
 		if r < 1 || r > x.Dims[n] {

@@ -3,11 +3,11 @@
 // implementation: For mirrors "#pragma omp parallel for
 // schedule(dynamic)", ForRange/ForWorker the static schedule, and the
 // Pool/Partition layer adds what OpenMP does not have built in —
-// weight-aware static partitioning (prefix-sum chain-on-chain and LPT
-// over per-fiber nonzero weights) with work-stealing for irregular
-// tails, on a persistent worker pool instead of goroutine-per-region
-// fan-out. SumBlocks and NumReduceBlocks provide parallel reductions
-// whose results are bitwise identical for every thread count.
+// weight-aware static partitioning (prefix-sum chain-on-chain over
+// per-row nonzero weights) with work-stealing for irregular tails, on
+// a persistent worker pool instead of goroutine-per-region fan-out.
+// SumBlocks and NumReduceBlocks provide parallel reductions whose
+// results are bitwise identical for every thread count.
 package par
 
 import (

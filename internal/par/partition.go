@@ -105,72 +105,6 @@ func PartitionChains(weights []int64, parts int) []int32 {
 	return bounds
 }
 
-// PartitionLPT assigns the weighted items to parts with the
-// longest-processing-time greedy rule: items in descending weight order
-// each go to the currently lightest part. Unlike the contiguous chains
-// this can separate neighboring items, so it achieves tighter balance
-// when a few heavy items dominate (LPT is a 4/3-approximation of the
-// optimal makespan). Each part's item list comes back sorted ascending,
-// preserving the owner-computes accumulation order. Ties (equal
-// weights, equal loads) break by item and part id, so the result is
-// deterministic.
-func PartitionLPT(weights []int64, parts int) [][]int32 {
-	n := len(weights)
-	if parts < 1 {
-		parts = 1
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
-
-	// Min-heap of parts keyed by (load, part id).
-	type entry struct {
-		load int64
-		part int32
-	}
-	heap := make([]entry, parts)
-	for p := range heap {
-		heap[p] = entry{0, int32(p)}
-	}
-	less := func(a, b entry) bool {
-		return a.load < b.load || (a.load == b.load && a.part < b.part)
-	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < parts && less(heap[l], heap[m]) {
-				m = l
-			}
-			if r < parts && less(heap[r], heap[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-	}
-	out := make([][]int32, parts)
-	for _, it := range order {
-		top := &heap[0]
-		out[top.part] = append(out[top.part], it)
-		w := weights[it]
-		if w < 0 {
-			w = 0
-		}
-		top.load += w
-		siftDown(0)
-	}
-	for p := range out {
-		sort.Slice(out[p], func(a, b int) bool { return out[p][a] < out[p][b] })
-	}
-	return out
-}
-
 // ChainLoads returns the total weight of each chain of a PartitionChains
 // result.
 func ChainLoads(weights []int64, bounds []int32) []int64 {
@@ -178,18 +112,6 @@ func ChainLoads(weights []int64, bounds []int32) []int64 {
 	for k := range loads {
 		for i := bounds[k]; i < bounds[k+1]; i++ {
 			loads[k] += weights[i]
-		}
-	}
-	return loads
-}
-
-// PartLoads returns the total weight of each part of a PartitionLPT
-// result.
-func PartLoads(weights []int64, parts [][]int32) []int64 {
-	loads := make([]int64, len(parts))
-	for p, items := range parts {
-		for _, it := range items {
-			loads[p] += weights[it]
 		}
 	}
 	return loads
@@ -288,29 +210,6 @@ func RunChains(bounds []int32, threads int, body func(worker, lo, hi int)) {
 				continue // lost the race; rescan
 			}
 			body(w, lo, hi)
-		}
-	})
-}
-
-// RunParts executes body(worker, item) for every item of every part on
-// the shared pool, worker w owning exactly the items of parts[w] in
-// ascending order. It is the executor for PartitionLPT assignments;
-// because ownership is total and per-part order fixed, owner-computes
-// kernels are bitwise deterministic for any thread count.
-func RunParts(parts [][]int32, body func(worker, item int)) {
-	threads := len(parts)
-	if threads == 0 {
-		return
-	}
-	if threads == 1 {
-		for _, it := range parts[0] {
-			body(0, int(it))
-		}
-		return
-	}
-	sharedPool(threads).Run(threads, func(w int) {
-		for _, it := range parts[w] {
-			body(w, int(it))
 		}
 	})
 }

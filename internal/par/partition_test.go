@@ -40,62 +40,12 @@ func TestPartitionChainsBalance(t *testing.T) {
 	}
 }
 
-func TestPartitionLPTBalance(t *testing.T) {
-	for _, parts := range []int{2, 4, 8, 16} {
-		w := skewedWeights(20000, 7)
-		assign := PartitionLPT(w, parts)
-		seen := make([]bool, len(w))
-		for p, items := range assign {
-			for i := 1; i < len(items); i++ {
-				if items[i] <= items[i-1] {
-					t.Fatalf("part %d items not ascending", p)
-				}
-			}
-			for _, it := range items {
-				if seen[it] {
-					t.Fatalf("item %d assigned twice", it)
-				}
-				seen[it] = true
-			}
-		}
-		for i, ok := range seen {
-			if !ok {
-				t.Fatalf("item %d unassigned", i)
-			}
-		}
-		if imb := Imbalance(PartLoads(w, assign)); imb > 1.1 {
-			t.Fatalf("parts=%d: LPT imbalance %.3f > 1.1 on skewed weights", parts, imb)
-		}
-	}
-}
-
-// LPT must beat contiguous chains when single items dominate the ideal
-// per-part load.
-func TestPartitionLPTHandlesHeavyItems(t *testing.T) {
-	w := make([]int64, 64)
-	for i := range w {
-		w[i] = 1
-	}
-	// Four heavy items next to each other: chains must carry neighbors
-	// together, LPT spreads them across parts.
-	w[10], w[11], w[12], w[13] = 100, 100, 100, 100
-	assign := PartitionLPT(w, 4)
-	if imb := Imbalance(PartLoads(w, assign)); imb > 1.05 {
-		t.Fatalf("LPT imbalance %.3f with separable heavy items", imb)
-	}
-}
-
 func TestPartitionsDeterministic(t *testing.T) {
 	w := skewedWeights(5000, 3)
 	b1 := PartitionChains(w, 8)
 	b2 := PartitionChains(w, 8)
 	if !reflect.DeepEqual(b1, b2) {
 		t.Fatal("PartitionChains not deterministic")
-	}
-	a1 := PartitionLPT(w, 8)
-	a2 := PartitionLPT(w, 8)
-	if !reflect.DeepEqual(a1, a2) {
-		t.Fatal("PartitionLPT not deterministic")
 	}
 }
 
@@ -150,20 +100,6 @@ func TestRunChainsStealingDrainsSkewedChains(t *testing.T) {
 	for i := range seen {
 		if seen[i].Load() != 1 {
 			t.Fatalf("index %d not covered exactly once under stealing", i)
-		}
-	}
-}
-
-func TestRunPartsCoversExactlyOnce(t *testing.T) {
-	w := skewedWeights(2000, 5)
-	for _, threads := range []int{1, 2, 4} {
-		parts := PartitionLPT(w, threads)
-		seen := make([]atomic.Int32, len(w))
-		RunParts(parts, func(worker, item int) { seen[item].Add(1) })
-		for i := range seen {
-			if seen[i].Load() != 1 {
-				t.Fatalf("threads=%d: item %d not visited exactly once", threads, i)
-			}
 		}
 	}
 }

@@ -1,13 +1,13 @@
 package symbolic
 
 // groupByKey is the one counting-sort pass (histogram, exclusive
-// prefix, stable scatter) shared by the per-mode update lists, the
-// radix passes of GroupByModes, and the CSF-native builders. Elements —
-// the entries of ids, or 0..len(keys)-1 when ids is nil — are scattered
-// into out stably grouped by ascending key, where the key of element e
-// is keys[e]. counts must be zeroed with len(counts) > max key; on
-// return counts[k] holds the end offset of key k's group (its start is
-// counts[k-1], or 0 for k = 0).
+// prefix, stable scatter) shared by the per-mode update lists and the
+// radix passes of GroupByModes. Elements — the entries of ids, or
+// 0..len(keys)-1 when ids is nil — are scattered into out stably
+// grouped by ascending key, where the key of element e is keys[e].
+// counts must be zeroed with len(counts) > max key; on return counts[k]
+// holds the end offset of key k's group (its start is counts[k-1], or
+// 0 for k = 0).
 func groupByKey(keys, ids, out, counts []int32) {
 	if ids == nil {
 		for _, k := range keys {

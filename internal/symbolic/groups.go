@@ -1,7 +1,5 @@
 package symbolic
 
-import "hypertensor/internal/tensor"
-
 // Groups generalizes the per-mode update lists to mode *sets*: entries
 // are grouped by their joint coordinates in a subset of modes, in CSR
 // form. The dimension-tree TTMc engine keys every tree node by the mode
@@ -89,43 +87,6 @@ func GroupByModes(keys [][]int32, n int, modes []int) *Groups {
 		}
 		g.Ptr = append(g.Ptr, int32(j))
 		i = j
-	}
-	return g
-}
-
-// FiberGroups is the CSF-native counterpart of GroupByModes for a
-// single mode: it groups the level-l fibers of a CSF tensor by their
-// slice index. Because a level groups runs of nonzeros already, this is
-// one stable counting sort over the fiber count — usually far below the
-// nonzero count — rather than over the nonzero stream, and at the root
-// level it is free (root fibers are already sorted and distinct). The
-// entries of the result are FIBER ids at level l, not nonzero ids, with
-// ascending fiber order within each group.
-func FiberGroups(c *tensor.CSF, l int) *Groups {
-	fids := c.Fids(l)
-	mode := c.Perm()[l]
-	g := &Groups{Modes: []int{mode}, Keys: make([][]int32, 1)}
-	if l == 0 {
-		g.Keys[0] = fids
-		g.Ids = make([]int32, len(fids))
-		g.Ptr = make([]int32, len(fids)+1)
-		for f := range fids {
-			g.Ids[f] = int32(f)
-			g.Ptr[f+1] = int32(f + 1)
-		}
-		return g
-	}
-	counts := make([]int32, c.Shape()[mode])
-	g.Ids = make([]int32, len(fids))
-	groupByKey(fids, nil, g.Ids, counts)
-	g.Ptr = append(make([]int32, 0, len(fids)+1), 0)
-	prev := int32(0)
-	for k, end := range counts {
-		if end > prev {
-			g.Keys[0] = append(g.Keys[0], int32(k))
-			g.Ptr = append(g.Ptr, end)
-		}
-		prev = end
 	}
 	return g
 }

@@ -40,7 +40,7 @@ func (s *Structure) Clone() *Structure {
 // The returned list holds, per mode, the ascending slice indices whose
 // update lists changed. Value-only mutations do not alter the symbolic
 // structure and need no Insert.
-func (s *Structure) Insert(t tensor.Sparse, oldNNZ int) ([][]int32, error) {
+func (s *Structure) Insert(t *tensor.COO, oldNNZ int) ([][]int32, error) {
 	if len(s.Modes) != t.Order() {
 		return nil, fmt.Errorf("symbolic: %d modes for order-%d tensor", len(s.Modes), t.Order())
 	}
@@ -58,8 +58,8 @@ func (s *Structure) Insert(t tensor.Sparse, oldNNZ int) ([][]int32, error) {
 		if int(m.Ptr[len(m.Rows)]) != oldNNZ {
 			return nil, fmt.Errorf("symbolic: mode %d covers %d nonzeros, expected %d before the append", n, m.Ptr[len(m.Rows)], oldNNZ)
 		}
-		idx := t.ModeStream(n)
-		dim := t.Shape()[n]
+		idx := t.Idx[n]
+		dim := t.Dims[n]
 
 		// Appended ids grouped by slice: a stable sort keeps ids
 		// ascending within each slice.

@@ -134,78 +134,3 @@ func BenchmarkBuild(b *testing.B) {
 		Build(x, 0)
 	}
 }
-
-// csfStreamView adapts a CSF to the generic (stream counting-sort)
-// build path so the CSF-native fast path can be checked against it.
-type csfStreamView struct{ *tensor.CSF }
-
-func TestBuildCSFNativeMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, dims := range [][]int{{8, 5}, {12, 9, 6}, {7, 5, 4, 6}} {
-		x := tensor.NewCOO(dims, 0)
-		coord := make([]int, len(dims))
-		for i := 0; i < 300; i++ {
-			for m, d := range dims {
-				coord[m] = rng.Intn(d)
-			}
-			x.Append(coord, rng.Float64())
-		}
-		c := tensor.NewCSF(x, tensor.CSFOptions{})
-		native := Build(c, 2)
-		if err := native.Validate(c); err != nil {
-			t.Fatalf("dims %v: %v", dims, err)
-		}
-		generic := Build(csfStreamView{c}, 2)
-		for n := range native.Modes {
-			a, b := &native.Modes[n], &generic.Modes[n]
-			if !equalInt32(a.Rows, b.Rows) || !equalInt32(a.Ptr, b.Ptr) ||
-				!equalInt32(a.NZ, b.NZ) || !equalInt32(a.Pos, b.Pos) {
-				t.Fatalf("dims %v mode %d: CSF-native build differs from generic", dims, n)
-			}
-		}
-	}
-}
-
-func TestFiberGroups(t *testing.T) {
-	x := smallTensor()
-	c := tensor.NewCSF(x, tensor.CSFOptions{ModeOrder: []int{0, 1, 2}})
-	for l := 0; l < c.Order(); l++ {
-		g := FiberGroups(c, l)
-		fids := c.Fids(l)
-		seen := make([]bool, len(fids))
-		for i := 0; i < g.NumGroups(); i++ {
-			key := g.Keys[0][i]
-			prev := int32(-1)
-			for _, f := range g.Group(i) {
-				if fids[f] != key {
-					t.Fatalf("level %d group %d: fiber %d has fid %d, key %d", l, i, f, fids[f], key)
-				}
-				if f <= prev {
-					t.Fatalf("level %d group %d: fibers not ascending", l, i)
-				}
-				prev = f
-				seen[f] = true
-			}
-			if i > 0 && g.Keys[0][i] <= g.Keys[0][i-1] {
-				t.Fatalf("level %d: keys not sorted", l)
-			}
-		}
-		for f, ok := range seen {
-			if !ok {
-				t.Fatalf("level %d: fiber %d missing", l, f)
-			}
-		}
-	}
-}
-
-func equalInt32(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -103,15 +103,20 @@ func (t *COO) Norm(threads int) float64 {
 	}))
 }
 
-// key returns a comparable linearized coordinate of nonzero i under the
-// given mode ordering. It is only valid when the product of dimensions
-// fits in 64 bits, which SortDedupOrder checks.
-func (t *COO) key(i int, order []int) uint64 {
+// key returns the lexicographic linearized coordinate of nonzero i. It
+// is only valid when the product of dimensions fits in 64 bits, which
+// SortDedup and the merge validation check.
+func (t *COO) key(i int) uint64 {
 	var k uint64
-	for _, m := range order {
-		k = k*uint64(t.Dims[m]) + uint64(t.Idx[m][i])
+	for m, d := range t.Dims {
+		k = k*uint64(d) + uint64(t.Idx[m][i])
 	}
 	return k
+}
+
+// IndexBytes reports the coordinate storage: N x nnz int32 entries.
+func (t *COO) IndexBytes() int64 {
+	return int64(t.Order()) * int64(t.NNZ()) * 4
 }
 
 // SortDedup sorts nonzeros lexicographically by coordinate and merges
@@ -119,22 +124,6 @@ func (t *COO) key(i int, order []int) uint64 {
 // cancellation. Real-world tensor ingestion (repeated (user,item,time)
 // events) depends on this. It returns the receiver for chaining.
 func (t *COO) SortDedup() *COO {
-	order := make([]int, t.Order())
-	for m := range order {
-		order[m] = m
-	}
-	return t.SortDedupOrder(order)
-}
-
-// SortDedupOrder is SortDedup under a custom lexicographic mode
-// ordering: nonzeros are sorted by their order[0] index first, then
-// order[1], and so on. The deduplicated nonzero set is identical for
-// every ordering; only the storage order differs. The CSF constructor
-// uses this to lay nonzeros out in fiber order.
-func (t *COO) SortDedupOrder(order []int) *COO {
-	if len(order) != t.Order() {
-		panic("tensor: SortDedupOrder needs one mode per level")
-	}
 	n := t.NNZ()
 	if n == 0 {
 		return t
@@ -152,11 +141,11 @@ func (t *COO) SortDedupOrder(order []int) *COO {
 	}
 	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = t.key(i, order)
+		keys[i] = t.key(i)
 	}
 	// Tie-break equal keys on the original position: duplicates are
-	// summed in appearance order, so every storage format's dedup
-	// produces bitwise-identical values for the same input.
+	// summed in appearance order, so the dedup produces bitwise-
+	// identical values for the same input on every run.
 	sort.Slice(perm, func(a, b int) bool {
 		if keys[perm[a]] != keys[perm[b]] {
 			return keys[perm[a]] < keys[perm[b]]

@@ -91,7 +91,7 @@ func TestSortDedupPreservesDense(t *testing.T) {
 		// No duplicates remain.
 		seen := map[uint64]bool{}
 		for i := 0; i < x.NNZ(); i++ {
-			k := x.key(i, []int{0, 1, 2})
+			k := x.key(i)
 			if seen[k] {
 				return false
 			}

@@ -42,6 +42,57 @@ func TestTNSRoundtrip(t *testing.T) {
 	}
 }
 
+// TestTNSRoundTripFormats checks that the on-disk format is independent
+// of the in-memory coordinate order: an unsorted COO with a duplicate
+// reloads to the same canonical tensor, and once canonical, writing and
+// reading back is a byte-exact fixed point.
+func TestTNSRoundTripFormats(t *testing.T) {
+	x := NewCOO([]int{5, 7, 3}, 0)
+	x.Append([]int{4, 6, 2}, 1.25)
+	x.Append([]int{0, 0, 0}, -3)
+	x.Append([]int{4, 0, 2}, 0.5)
+	x.Append([]int{2, 3, 1}, 7)
+	x.Append([]int{4, 0, 2}, 0.25)
+
+	var buf bytes.Buffer
+	if err := WriteTNS(&buf, x); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadTNS(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon := x.Clone().SortDedup()
+	got.SortDedup()
+	for m := range x.Dims {
+		if got.Dims[m] != x.Dims[m] {
+			t.Fatalf("dims changed: %v -> %v", x.Dims, got.Dims)
+		}
+	}
+	da := DenseFromCOO(canon)
+	db := DenseFromCOO(got)
+	for i := range da.Data {
+		if da.Data[i] != db.Data[i] {
+			t.Fatalf("round trip changed entry %d: %v -> %v", i, da.Data[i], db.Data[i])
+		}
+	}
+
+	var first, second bytes.Buffer
+	if err := WriteTNS(&first, got); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadTNS(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteTNS(&second, back); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("canonical round trip is not a fixed point:\n%s\nvs\n%s", first.String(), second.String())
+	}
+}
+
 func TestReadTNSWithoutHeader(t *testing.T) {
 	in := "1 1 1 2.0\n3 2 4 -1\n"
 	x, err := ReadTNS(strings.NewReader(in))
@@ -141,51 +192,6 @@ func TestReadTNSLineNumbers(t *testing.T) {
 	_, err := ReadTNS(strings.NewReader("# c\n\n1 1 1.0\n1 bad 1.0\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 4") {
 		t.Fatalf("want line-4 error, got %v", err)
-	}
-}
-
-func TestTNSRoundTripFormats(t *testing.T) {
-	// The on-disk format is storage-agnostic: a tensor written from COO
-	// must reload and convert to CSF losslessly, and a CSF tensor
-	// converted back to COO must serialize to an equivalent tensor.
-	x := NewCOO([]int{5, 7, 3}, 0)
-	x.Append([]int{4, 6, 2}, 1.25)
-	x.Append([]int{0, 0, 0}, -3)
-	x.Append([]int{4, 0, 2}, 0.5)
-	x.Append([]int{2, 3, 1}, 7)
-	x.SortDedup()
-
-	var buf bytes.Buffer
-	if err := WriteTNS(&buf, x); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTNS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCSF(got, CSFOptions{})
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := WriteTNS(&buf, c.ToCOO()); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTNS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	da := DenseFromCOO(x)
-	db := DenseFromCOO(back.SortDedup())
-	for i := range da.Data {
-		if da.Data[i] != db.Data[i] {
-			t.Fatalf("CSF-mediated round trip changed entry %d", i)
-		}
-	}
-	for m := range x.Dims {
-		if back.Dims[m] != x.Dims[m] {
-			t.Fatalf("dims changed: %v -> %v", x.Dims, back.Dims)
-		}
 	}
 }
 

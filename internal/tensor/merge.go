@@ -21,30 +21,12 @@ type MergeInfo struct {
 	OldNNZ int
 }
 
-// validateDelta runs the shared pre-mutation checks of the 64-bit-key
-// delta-merge entry points (COO.MergeIndexed, CSF.Merge): the shape
-// checks of validateDeltaShape plus the requirement that the
-// lexicographic linearized key space fits 64 bits. ALTO.Merge uses
-// validateDeltaShape directly — its split keys cover larger shapes.
-// Nothing may be mutated before this passes.
+// validateDelta runs the pre-mutation checks of MergeIndexed: order
+// and mode sizes must match, every coordinate must be in range, the
+// index streams must be consistent, and the lexicographic linearized
+// key space must fit 64 bits. Nothing may be mutated before this
+// passes.
 func validateDelta(dims []int, delta *COO) error {
-	if err := validateDeltaShape(dims, delta); err != nil {
-		return err
-	}
-	var prod float64 = 1
-	for _, d := range dims {
-		prod *= float64(d)
-	}
-	if prod > math.MaxUint64/2 {
-		return fmt.Errorf("tensor: dimensions too large for linearized merge")
-	}
-	return nil
-}
-
-// validateDeltaShape checks a delta against the receiver's shape: order
-// and mode sizes must match, every coordinate must be in range, and the
-// index streams must be consistent.
-func validateDeltaShape(dims []int, delta *COO) error {
 	if delta == nil {
 		return fmt.Errorf("tensor: nil delta")
 	}
@@ -65,6 +47,13 @@ func validateDeltaShape(dims []int, delta *COO) error {
 				return fmt.Errorf("tensor: delta nonzero %d coordinate %d out of range [0,%d) in mode %d", i, c, dims[m], m)
 			}
 		}
+	}
+	var prod float64 = 1
+	for _, d := range dims {
+		prod *= float64(d)
+	}
+	if prod > math.MaxUint64/2 {
+		return fmt.Errorf("tensor: dimensions too large for linearized merge")
 	}
 	return nil
 }
@@ -90,10 +79,10 @@ func (t *COO) NewMergeIndex() *MergeIndex {
 }
 
 // sync indexes the nonzeros appended since the last call.
-func (ix *MergeIndex) sync(order []int) {
+func (ix *MergeIndex) sync() {
 	t := ix.owner
 	for ; ix.n < t.NNZ(); ix.n++ {
-		ix.pos[t.key(ix.n, order)] = int32(ix.n)
+		ix.pos[t.key(ix.n)] = int32(ix.n)
 	}
 }
 
@@ -137,16 +126,12 @@ func (t *COO) MergeIndexed(delta *COO, ix *MergeIndex) (*MergeInfo, error) {
 	}
 	d := delta.Clone().SortDedup()
 
-	order := make([]int, t.Order())
-	for m := range order {
-		order[m] = m
-	}
 	if ix == nil {
 		ix = t.NewMergeIndex()
 	}
-	ix.sync(order)
+	ix.sync()
 	for i := 0; i < d.NNZ(); i++ {
-		k := d.key(i, order)
+		k := d.key(i)
 		if p, ok := ix.pos[k]; ok {
 			t.Val[p] += d.Val[i]
 			info.Updated = append(info.Updated, p)
@@ -158,7 +143,7 @@ func (t *COO) MergeIndexed(delta *COO, ix *MergeIndex) (*MergeInfo, error) {
 			info.Appended++
 		}
 	}
-	ix.sync(order)
+	ix.sync()
 	// Delta entries were visited in sorted-key order, but the positions
 	// they update are in the receiver's (arbitrary) storage order.
 	slices.Sort(info.Updated)

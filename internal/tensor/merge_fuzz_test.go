@@ -1,21 +1,25 @@
 package tensor
 
 import (
+	"slices"
 	"testing"
 )
 
-// FuzzMergeDelta drives COO.Merge, CSF.Merge, and ALTO.Merge with
-// arbitrary (possibly malformed) deltas against a fixed receiver:
-// out-of-range coordinates must error without mutating the receiver,
-// and every accepted delta must leave all three formats holding the
-// same canonical nonzero multiset (merge-then-canonicalize ==
-// concatenate-then-canonicalize), with the CSF and ALTO passing their
-// structural Validates.
+// FuzzMergeDelta drives COO.MergeIndexed with arbitrary (possibly
+// malformed) deltas: the fuzz bytes decode into two successive deltas
+// merged through one retained MergeIndex, the path a resident
+// Engine.Update runs. A rejected delta must leave the receiver
+// untouched (and the index usable for the next delta); an accepted one
+// must match a one-shot Merge with a fresh index bit for bit, and the
+// receiver must hold the same canonical nonzero multiset as
+// concatenating every accepted delta and running SortDedup.
 func FuzzMergeDelta(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 1, 2, 250}, int16(3))
 	f.Add([]byte{0, 0, 0, 255, 255, 255, 7, 7}, int16(1))
 	f.Add([]byte{}, int16(0))
 	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9}, int16(-4))
+	// The second delta updates the coordinate the first one appended.
+	f.Add([]byte{3, 3, 3, 3, 3, 3}, int16(2))
 
 	dims := []int{7, 9, 11}
 	base := NewCOO(dims, 0)
@@ -25,93 +29,77 @@ func FuzzMergeDelta(f *testing.F) {
 	base.SortDedup()
 
 	f.Fuzz(func(t *testing.T, raw []byte, vseed int16) {
-		// Decode the byte stream into a delta: triples of coordinate
-		// bytes (intentionally unclamped, so out-of-range and negative
-		// coordinates appear) with values derived from vseed.
-		d := &COO{Dims: dims, Idx: make([][]int32, 3)}
-		for i := 0; i+2 < len(raw) && d.NNZ() < 64; i += 3 {
-			for m := 0; m < 3; m++ {
-				d.Idx[m] = append(d.Idx[m], int32(raw[i+m])-2)
+		// Decode the byte stream into triples of coordinate bytes
+		// (intentionally unclamped, so out-of-range and negative
+		// coordinates appear) with values derived from vseed; the first
+		// half of the triples forms the first delta, the rest the second.
+		triples := min(len(raw)/3, 64)
+		deltas := []*COO{
+			{Dims: dims, Idx: make([][]int32, 3)},
+			{Dims: dims, Idx: make([][]int32, 3)},
+		}
+		for k := 0; k < triples; k++ {
+			d := deltas[0]
+			if 2*k >= triples {
+				d = deltas[1]
 			}
-			d.Val = append(d.Val, float64(vseed)+float64(i))
+			for m := 0; m < 3; m++ {
+				d.Idx[m] = append(d.Idx[m], int32(raw[3*k+m])-2)
+			}
+			d.Val = append(d.Val, float64(vseed)+float64(3*k))
 		}
 
 		x := base.Clone()
-		c := NewCSF(base, CSFOptions{})
-		a := NewALTO(base, ALTOOptions{})
-		before := x.Clone()
-
-		info, err := x.Merge(d)
-		cinfo, cerr := c.Merge(d)
-		ainfo, aerr := a.Merge(d)
-		if (err == nil) != (cerr == nil) || (err == nil) != (aerr == nil) {
-			t.Fatalf("formats disagree on delta validity: coo=%v csf=%v alto=%v", err, cerr, aerr)
-		}
-		if err != nil {
-			// Rejected: the receiver must be untouched.
-			if x.NNZ() != before.NNZ() {
-				t.Fatalf("failed merge changed nnz %d -> %d", before.NNZ(), x.NNZ())
-			}
-			for i := range x.Val {
-				if x.Val[i] != before.Val[i] {
-					t.Fatal("failed merge changed a value")
+		ix := x.NewMergeIndex()
+		ref := base.Clone()
+		for step, d := range deltas {
+			before := x.Clone()
+			info, err := x.MergeIndexed(d, ix)
+			if err != nil {
+				if !sameStorage(x, before) {
+					t.Fatalf("delta %d: failed merge mutated the receiver", step)
 				}
+				continue
+			}
+			if info.OldNNZ != before.NNZ() || x.NNZ() != before.NNZ()+info.Appended {
+				t.Fatalf("delta %d: merge accounting inconsistent: %+v nnz=%d", step, info, x.NNZ())
+			}
+			oneShot := before.Clone()
+			oinfo, err := oneShot.Merge(d)
+			if err != nil {
+				t.Fatalf("delta %d: one-shot merge rejected a delta the indexed merge accepted: %v", step, err)
+			}
+			if !sameStorage(x, oneShot) || oinfo.Appended != info.Appended || !slices.Equal(oinfo.Updated, info.Updated) {
+				t.Fatalf("delta %d: retained-index merge diverged from a one-shot merge", step)
+			}
+
+			for i := 0; i < d.NNZ(); i++ {
 				for m := range dims {
-					if x.Idx[m][i] != before.Idx[m][i] {
-						t.Fatal("failed merge moved a coordinate")
-					}
+					ref.Idx[m] = append(ref.Idx[m], d.Idx[m][i])
 				}
+				ref.Val = append(ref.Val, d.Val[i])
 			}
-			if c.NNZ() != before.NNZ() {
-				t.Fatal("failed CSF merge changed nnz")
+			// Merge keeps exact-zero cancellations; sameCanonical
+			// treats them as absent.
+			if !sameCanonical(x.Clone().SortDedup(), ref.Clone().SortDedup()) {
+				t.Fatalf("delta %d: merge diverged from concatenate+SortDedup", step)
 			}
-			if a.NNZ() != before.NNZ() {
-				t.Fatal("failed ALTO merge changed nnz")
-			}
-			return
-		}
-		if info.OldNNZ != before.NNZ() || x.NNZ() != before.NNZ()+info.Appended {
-			t.Fatalf("merge accounting inconsistent: %+v nnz=%d", info, x.NNZ())
-		}
-		if err := c.Validate(); err != nil {
-			t.Fatalf("merged CSF fails Validate: %v", err)
-		}
-		if cinfo.OldNNZ != before.NNZ() || c.NNZ() != before.NNZ()+cinfo.Inserted {
-			t.Fatalf("CSF merge accounting inconsistent: %+v nnz=%d", cinfo, c.NNZ())
-		}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("merged ALTO fails Validate: %v", err)
-		}
-		if ainfo.OldNNZ != before.NNZ() || a.NNZ() != before.NNZ()+ainfo.Inserted {
-			t.Fatalf("ALTO merge accounting inconsistent: %+v nnz=%d", ainfo, a.NNZ())
-		}
-		if ainfo.Structural != (ainfo.Inserted > 0) {
-			t.Fatalf("ALTO merge Structural=%v with %d insertions", ainfo.Structural, ainfo.Inserted)
-		}
-
-		// Reference: concatenate and canonicalize.
-		ref := before.Clone()
-		for i := 0; i < d.NNZ(); i++ {
-			for m := range dims {
-				ref.Idx[m] = append(ref.Idx[m], d.Idx[m][i])
-			}
-			ref.Val = append(ref.Val, d.Val[i])
-		}
-		ref.SortDedup()
-		got := x.Clone().SortDedup()
-		// Merge keeps exact-zero cancellations; drop them for comparison.
-		if !sameCanonical(got, ref) {
-			t.Fatal("COO merge diverged from concatenate+SortDedup")
-		}
-		fromCSF := c.ToCOO().SortDedup()
-		if !sameCanonical(fromCSF, ref) {
-			t.Fatal("CSF merge diverged from concatenate+SortDedup")
-		}
-		fromALTO := a.ToCOO().SortDedup()
-		if !sameCanonical(fromALTO, ref) {
-			t.Fatal("ALTO merge diverged from concatenate+SortDedup")
 		}
 	})
+}
+
+// sameStorage reports whether two tensors hold the same nonzeros at the
+// same storage positions, bit for bit.
+func sameStorage(a, b *COO) bool {
+	if !slices.Equal(a.Val, b.Val) {
+		return false
+	}
+	for m := range a.Idx {
+		if !slices.Equal(a.Idx[m], b.Idx[m]) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameCanonical compares two canonicalized tensors treating explicit

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func mkCOO(t *testing.T, dims []int, entries [][3]int, vals []float64) *COO {
 	t.Helper()
@@ -186,213 +183,30 @@ func TestCOOMergeIndexed(t *testing.T) {
 	}
 }
 
-func csfEqual(t *testing.T, a, b *CSF) {
-	t.Helper()
-	if a.NNZ() != b.NNZ() {
-		t.Fatalf("nnz %d vs %d", a.NNZ(), b.NNZ())
-	}
-	for l := 0; l < a.Order(); l++ {
-		fa, fb := a.Fids(l), b.Fids(l)
-		if len(fa) != len(fb) {
-			t.Fatalf("level %d fiber count %d vs %d", l, len(fa), len(fb))
-		}
-		for i := range fa {
-			if fa[i] != fb[i] {
-				t.Fatalf("level %d fiber %d: %d vs %d", l, i, fa[i], fb[i])
-			}
-		}
-	}
-	for l := 0; l < a.Order()-1; l++ {
-		pa, pb := a.ChildPtr(l), b.ChildPtr(l)
-		for i := range pa {
-			if pa[i] != pb[i] {
-				t.Fatalf("level %d ptr %d: %d vs %d", l, i, pa[i], pb[i])
-			}
-		}
-		la, lb := a.LeafPtr(l), b.LeafPtr(l)
-		for i := range la {
-			if la[i] != lb[i] {
-				t.Fatalf("level %d leafPtr %d: %d vs %d", l, i, la[i], lb[i])
-			}
-		}
-	}
-	for i, v := range a.Values() {
-		if v != b.Values()[i] {
-			t.Fatalf("value %d: %v vs %v", i, v, b.Values()[i])
-		}
-	}
-}
-
-// TestCSFMergeStructural: an insertion-bearing merge must produce the
-// exact structure a from-scratch build of the merged tensor produces.
-func TestCSFMergeStructural(t *testing.T) {
-	dims := []int{5, 6, 7, 8}
-	x := NewCOO(dims, 0)
-	for i := 0; i < 40; i++ {
-		x.Append([]int{i % 5, (i * 2) % 6, (i * 3) % 7, (i * 5) % 8}, float64(i+1))
-	}
-	x.SortDedup()
-	d := NewCOO(dims, 0)
-	d.Append([]int{0, 0, 0, 0}, 3) // likely new root-front insertion
-	d.Append([]int{4, 5, 6, 7}, 2) // tail region
-	d.Append([]int{2, 4, 6, 2}, 5) // possibly existing
-	d.Append([]int{2, 4, 6, 2}, 1) // in-delta duplicate
-
-	c := NewCSF(x, CSFOptions{})
-	info, err := c.Merge(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatalf("merged CSF invalid: %v", err)
-	}
-	merged := x.Clone()
-	if _, err := merged.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	ref := NewCSF(merged, CSFOptions{})
-	csfEqual(t, c, ref)
-	if !info.Structural && c.NNZ() != info.OldNNZ {
-		t.Fatal("structural flag inconsistent")
-	}
-	// Updated positions must point at the right values in the NEW order.
-	for _, p := range info.Updated {
-		if p < 0 || int(p) >= c.NNZ() {
-			t.Fatalf("updated position %d out of range", p)
-		}
-	}
-	// Streams must reflect the new layout.
-	for m := range dims {
-		s := c.ModeStream(m)
-		r := ref.ModeStream(m)
-		for i := range s {
-			if s[i] != r[i] {
-				t.Fatalf("mode %d stream mismatch at %d", m, i)
-			}
-		}
-	}
-}
-
-// TestCSFMergeValueOnly: a delta hitting only existing coordinates must
-// leave every fiber array untouched and positions stable.
-func TestCSFMergeValueOnly(t *testing.T) {
-	dims := []int{5, 6, 7}
-	x := NewCOO(dims, 0)
-	for i := 0; i < 30; i++ {
-		x.Append([]int{i % 5, (i * 2) % 6, (i * 3) % 7}, float64(i+1))
-	}
-	x.SortDedup()
-	c := NewCSF(x, CSFOptions{})
-	before := c.Clone()
-
-	coord := make([]int, 3)
-	d := NewCOO(dims, 0)
-	d.Append(c.Coord(4, coord), 10)
-	d.Append(c.Coord(17, coord), -3)
-	info, err := c.Merge(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Structural || info.Inserted != 0 {
-		t.Fatalf("value-only merge reported structural: %+v", info)
-	}
-	if len(info.Updated) != 2 {
-		t.Fatalf("updated %v", info.Updated)
-	}
-	for l := 0; l < c.Order(); l++ {
-		fa, fb := c.Fids(l), before.Fids(l)
-		for i := range fa {
-			if fa[i] != fb[i] {
-				t.Fatalf("value-only merge moved fibers at level %d", l)
-			}
-		}
-	}
-	if math.Abs(c.Value(4)-(before.Value(4)+10)) > 0 || math.Abs(c.Value(17)-(before.Value(17)-3)) > 0 {
-		t.Fatalf("values not updated in place")
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCSFClone(t *testing.T) {
-	dims := []int{4, 5, 6}
-	x := NewCOO(dims, 0)
-	for i := 0; i < 25; i++ {
-		x.Append([]int{i % 4, (i * 2) % 5, (i * 3) % 6}, float64(i+1))
-	}
-	x.SortDedup()
-	c := NewCSF(x, CSFOptions{})
-	c.ModeStream(0) // materialize a cache before cloning
-	cl := c.Clone()
-	csfEqual(t, c, cl)
-	// Mutating the clone must not touch the original.
-	d := NewCOO(dims, 0)
-	d.Append([]int{3, 4, 5}, 42)
-	if _, err := cl.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	if cl.NNZ() == c.NNZ() {
-		t.Skip("coordinate already existed; structural independence untested")
-	}
-	ref := NewCSF(x, CSFOptions{})
-	csfEqual(t, c, ref)
-	if err := cl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCSFMergeValidation(t *testing.T) {
-	dims := []int{4, 5, 6}
-	x := NewCOO(dims, 0)
-	x.Append([]int{1, 1, 1}, 1)
-	c := NewCSF(x, CSFOptions{})
-	if _, err := c.Merge(NewCOO([]int{4, 5}, 0)); err == nil {
-		t.Fatal("order mismatch accepted")
-	}
-	bad := NewCOO(dims, 1)
-	bad.Idx[0] = append(bad.Idx[0], 9)
-	bad.Idx[1] = append(bad.Idx[1], 0)
-	bad.Idx[2] = append(bad.Idx[2], 0)
-	bad.Val = append(bad.Val, 1)
-	if _, err := c.Merge(bad); err == nil {
-		t.Fatal("out-of-range delta accepted")
-	}
-	if c.NNZ() != 1 || c.Value(0) != 1 {
-		t.Fatal("failed merge mutated the tensor")
-	}
-}
-
-// TestCOOMergeOrderOne covers the order-1 corner for both formats.
+// TestMergeOrderOne covers the order-1 corner: one update in place,
+// one append at the tail.
 func TestMergeOrderOne(t *testing.T) {
 	x := NewCOO([]int{10}, 0)
 	x.Append([]int{2}, 1)
 	x.Append([]int{7}, 2)
 	x.SortDedup()
-	c := NewCSF(x, CSFOptions{})
 	d := NewCOO([]int{10}, 0)
 	d.Append([]int{5}, 3)
 	d.Append([]int{7}, 4)
-	if _, err := x.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	info, err := c.Merge(d)
+	info, err := x.Merge(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Structural || info.Inserted != 1 {
+	if info.Appended != 1 || len(info.Updated) != 1 || info.Updated[0] != 1 {
 		t.Fatalf("info %+v", info)
 	}
 	want := map[int32]float64{2: 1, 5: 3, 7: 6}
-	if c.NNZ() != 3 {
-		t.Fatalf("csf nnz %d", c.NNZ())
-	}
-	for i := 0; i < c.NNZ(); i++ {
-		if v := want[c.Fids(0)[i]]; v != c.Value(i) {
-			t.Fatalf("order-1 csf entry %d wrong", i)
-		}
-	}
 	if x.NNZ() != 3 {
 		t.Fatalf("coo nnz %d", x.NNZ())
+	}
+	for i := 0; i < x.NNZ(); i++ {
+		if v := want[x.Idx[0][i]]; v != x.Val[i] {
+			t.Fatalf("order-1 entry %d wrong", i)
+		}
 	}
 }

@@ -6,16 +6,14 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// RangeFinder computes S = X_(n)·Ω for a sparse tensor in any storage
-// format, with an implicit Gaussian sketch Ω of the huge ∏_{t≠n} I_t
-// column space: the sketch entries are generated on the fly per
-// (column, direction) with a hash, so the cost is O(nnz·k) and no
-// matricization is ever materialized. Orthonormalizing the result gives
-// the practical sparse stand-in for an HOSVD start (the exact HOSVD
-// would need singular vectors of matrices with ∏_{t≠n} I_t columns,
-// which §III.A.2 of the paper rules out). The tensor is reached only
-// through the tensor.Sparse mode streams, so COO and CSF tensors feed
-// the same operator; the result depends on the nonzero set and, up to
+// RangeFinder computes S = X_(n)·Ω for a sparse tensor, with an
+// implicit Gaussian sketch Ω of the huge ∏_{t≠n} I_t column space: the
+// sketch entries are generated on the fly per (column, direction) with
+// a hash, so the cost is O(nnz·k) and no matricization is ever
+// materialized. Orthonormalizing the result gives the practical sparse
+// stand-in for an HOSVD start (the exact HOSVD would need singular
+// vectors of matrices with ∏_{t≠n} I_t columns, which §III.A.2 of the
+// paper rules out). The result depends on the nonzero set and, up to
 // floating-point rounding, not on the storage order.
 //
 // The nonzeros are grouped by mode-n coordinate with a stable counting
@@ -26,20 +24,17 @@ import (
 // the serial scan for every thread count. The grouping scratch and the
 // returned matrix live in the workspace (nil allocates per call); the
 // result is overwritten by the next RangeFinder call on that workspace.
-func RangeFinder(x tensor.Sparse, mode, k int, seed int64, threads int, ws *Workspace) *dense.Matrix {
+func RangeFinder(x *tensor.COO, mode, k int, seed int64, threads int, ws *Workspace) *dense.Matrix {
 	if ws == nil {
 		ws = &Workspace{}
 	}
-	dims := x.Shape()
+	dims := x.Dims
 	nr := dims[mode]
 	s := dense.ReuseMatrix(ws.rfOut, nr, k)
 	ws.rfOut = s
 	order := x.Order()
-	streams := make([][]int32, order)
-	for m := 0; m < order; m++ {
-		streams[m] = x.ModeStream(m)
-	}
-	vals := x.Values()
+	streams := x.Idx
+	vals := x.Val
 	nnz := x.NNZ()
 
 	// Stable counting sort of nonzero ids by mode coordinate: after the

@@ -5,18 +5,8 @@
 // update lists so results are bitwise deterministic for any thread
 // count and schedule.
 //
-// One kernel per storage format, all built on the Kronecker row
-// kernels:
-//
-//   - TTMc / TTMcRows — the flat nonzero loop over COO streams, the
-//     reference path.
-//   - CSFTTMc — fiber-walking kernels over compressed fiber trees;
-//     each subtree's contraction is accumulated once and expanded
-//     through the parent (~2x fewer madds than flat).
-//   - ALTOTTMc — sequential-stream kernels over the linearized format;
-//     the key stream is split by recursive halving into a fixed block
-//     grid, short modes accumulate into per-thread dense slabs reduced
-//     in block order, long modes switch to owner-computes rows.
+// TTMc / TTMcRows are the flat nonzero loop over the COO index
+// streams, built on the fused Kronecker row kernels (kron.go).
 //
 // On top of the per-mode kernels sit DTree, the dimension-tree TTMc
 // memoization that caches the partial contractions shared between a

@@ -35,7 +35,7 @@ import (
 // A DTree is built once per tensor (symbolic phase) and reused across
 // sweeps and rank configurations; it is not safe for concurrent use.
 type DTree struct {
-	x      tensor.Sparse
+	x      *tensor.COO
 	order  int
 	root   *dnode
 	nodes  []*dnode // topological order, parents before children
@@ -109,11 +109,9 @@ func (nd *dnode) isLeaf() bool { return nd.hi-nd.lo == 1 }
 // NewDTree builds the symbolic dimension tree for x: node structure and
 // the per-node update lists (groupings). No factor matrices are needed;
 // numeric values are computed lazily by TTMc. x must have order >= 2
-// and at least one nonzero. Any storage format works: the tree operates
-// on the per-mode index streams, which a CSF tensor expands (and keeps)
-// on first use — the tree's own memoized nodes dominate its footprint
-// either way.
-func NewDTree(x tensor.Sparse) *DTree {
+// and at least one nonzero. The root aliases x's per-mode index
+// streams.
+func NewDTree(x *tensor.COO) *DTree {
 	if x.Order() < 2 {
 		panic("ttm: DTree requires an order >= 2 tensor")
 	}
@@ -126,9 +124,7 @@ func NewDTree(x tensor.Sparse) *DTree {
 		leaves: make([]*dnode, x.Order()),
 	}
 	t.root = &dnode{lo: 0, hi: t.order, n: x.NNZ(), keys: make([][]int32, t.order)}
-	for m := 0; m < t.order; m++ {
-		t.root.keys[m] = x.ModeStream(m)
-	}
+	copy(t.root.keys, x.Idx)
 	t.nodes = append(t.nodes, t.root)
 	t.split(t.root)
 	return t

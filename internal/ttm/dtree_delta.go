@@ -6,19 +6,17 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// Rebind swaps the tree onto a different storage object that holds the
+// Rebind swaps the tree onto a different tensor that holds the
 // identical nonzero content in the identical storage order (e.g. a
 // clone taken so a resident engine can mutate its tensor without
 // touching the plan's copy). All symbolic groupings and numeric caches
 // stay valid; only the root's index-stream aliases are refreshed.
-func (t *DTree) Rebind(x tensor.Sparse) {
+func (t *DTree) Rebind(x *tensor.COO) {
 	if x.Order() != t.order || x.NNZ() != t.root.n {
-		panic("ttm: Rebind storage does not match the tree")
+		panic("ttm: Rebind tensor does not match the tree")
 	}
 	t.x = x
-	for m := 0; m < t.order; m++ {
-		t.root.keys[m] = x.ModeStream(m)
-	}
+	copy(t.root.keys, x.Idx)
 }
 
 // deltaState carries one node's delta bookkeeping down the tree: the
@@ -34,15 +32,14 @@ type deltaState struct {
 // ApplyDelta incorporates a tensor mutation into the tree without
 // rebuilding it: nonzeros at storage positions changed had their value
 // updated in place, and nonzeros oldNNZ..NNZ()-1 were appended at the
-// tail (the stable-id discipline of tensor.COO.Merge; for value-only
-// CSF merges pass oldNNZ == NNZ()). The per-node update lists are
-// maintained incrementally — appended nonzeros are spliced into the
-// groups of every node by a linear merge, never a re-sort — and instead
-// of invalidating whole nodes, exactly the entries whose group gained a
-// member or contains a changed nonzero are marked dirty, the per-row
-// generalization of Invalidate. The next TTMc recomputes only those
-// entries of otherwise-valid nodes; every untouched cached block is
-// preserved bit-for-bit.
+// tail (the stable-id discipline of tensor.COO.Merge). The per-node
+// update lists are maintained incrementally — appended nonzeros are
+// spliced into the groups of every node by a linear merge, never a
+// re-sort — and instead of invalidating whole nodes, exactly the
+// entries whose group gained a member or contains a changed nonzero
+// are marked dirty, the per-row generalization of Invalidate. The next
+// TTMc recomputes only those entries of otherwise-valid nodes; every
+// untouched cached block is preserved bit-for-bit.
 func (t *DTree) ApplyDelta(changed []int32, oldNNZ int) {
 	nnz := t.x.NNZ()
 	if oldNNZ < 0 || oldNNZ > nnz {
@@ -51,9 +48,7 @@ func (t *DTree) ApplyDelta(changed []int32, oldNNZ int) {
 	// Refresh the root aliases: appends may have reallocated the
 	// underlying streams.
 	t.root.n = nnz
-	for m := 0; m < t.order; m++ {
-		t.root.keys[m] = t.x.ModeStream(m)
-	}
+	copy(t.root.keys, t.x.Idx)
 	appended := make([]int32, nnz-oldNNZ)
 	for i := range appended {
 		appended[i] = int32(oldNNZ + i)

@@ -195,15 +195,15 @@ type kron struct {
 // newKron resolves the contraction of x with every factor outside the
 // modes [lo, hi), in ascending mode order (the flat kernels keep one
 // mode, lo = n and hi = n+1; dimension-tree leaves keep a range).
-func newKron(x tensor.Sparse, u []*dense.Matrix, lo, hi int) *kron {
+func newKron(x *tensor.COO, u []*dense.Matrix, lo, hi int) *kron {
 	order := x.Order()
-	k := &kron{modes: make([]kronMode, 0, order-(hi-lo)), val: x.Values()}
+	k := &kron{modes: make([]kronMode, 0, order-(hi-lo)), val: x.Val}
 	lens := make([]int, 0, 8)
 	for m := 0; m < order; m++ {
 		if m >= lo && m < hi {
 			continue
 		}
-		k.modes = append(k.modes, kronMode{idx: x.ModeStream(m), data: u[m].Data, cols: u[m].Cols})
+		k.modes = append(k.modes, kronMode{idx: x.Idx[m], data: u[m].Data, cols: u[m].Cols})
 		lens = append(lens, u[m].Cols)
 	}
 	k.scratchLen = kronScratchLen(lens)

@@ -7,7 +7,6 @@ import (
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/par"
-	"hypertensor/internal/tensor"
 )
 
 var allSchedules = []par.Schedule{par.ScheduleBalanced, par.ScheduleDynamic, par.ScheduleStatic}
@@ -87,34 +86,6 @@ func TestTTMcRowsSchedBitwiseEquivalent(t *testing.T) {
 	}
 }
 
-// The CSF fiber engine must be schedule- and thread-count-invariant for
-// every mode, including the precomputed LPT emission path.
-func TestCSFTTMcSchedBitwiseEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	x, u, _ := randomSetup(rng, []int{15, 10, 8, 6}, []int{3, 2, 2, 3}, 600)
-	c := tensor.NewCSF(x, tensor.CSFOptions{})
-	ref := NewCSFTTMc(c)
-	for mode := 0; mode < x.Order(); mode++ {
-		want := dense.NewMatrix(ref.NumRows(mode), RowSize(u, mode))
-		ref.SetSchedule(par.ScheduleDynamic)
-		ref.TTMc(want, mode, u, 1)
-		for _, sched := range allSchedules {
-			k := NewCSFTTMc(c)
-			k.SetSchedule(sched)
-			for _, threads := range []int{1, 2, 4, 8} {
-				y := dense.NewMatrix(k.NumRows(mode), RowSize(u, mode))
-				k.TTMc(y, mode, u, threads)
-				for i := range want.Data {
-					if y.Data[i] != want.Data[i] {
-						t.Fatalf("mode=%d sched=%v threads=%d: bit difference at %d",
-							mode, sched, threads, i)
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestDTreeSchedBitwiseEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	x, u, _ := randomSetup(rng, []int{12, 9, 7, 5}, []int{3, 2, 2, 3}, 400)
@@ -145,23 +116,22 @@ func TestDTreeSchedBitwiseEquivalent(t *testing.T) {
 	}
 }
 
-// The balanced schedule's cached partitions must survive thread-count
-// changes (rebuild) and factor-rank changes (no dependence).
-func TestCSFTTMcPartitionCacheAcrossThreadCounts(t *testing.T) {
+// The balanced schedule's partition cached on the symbolic mode must
+// survive thread-count changes (rebuild) without changing results.
+func TestTTMcPartitionCacheAcrossThreadCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	x, u, _ := randomSetup(rng, []int{20, 15, 10}, []int{3, 3, 3}, 500)
-	c := tensor.NewCSF(x, tensor.CSFOptions{})
-	k := NewCSFTTMc(c)
-	mode := c.Perm()[1] // a non-root mode: exercises the emission path
-	ref := dense.NewMatrix(k.NumRows(mode), RowSize(u, mode))
-	k.TTMc(ref, mode, u, 2)
+	x, u, sym := randomSetup(rng, []int{20, 15, 10}, []int{3, 3, 3}, 500)
+	sm := &sym.Modes[1]
+	ref := dense.NewMatrix(sm.NumRows(), RowSize(u, sm.N))
+	TTMcSched(ref, x, sm, u, 2, par.ScheduleBalanced)
 	for _, threads := range []int{4, 2, 8, 2} {
-		y := dense.NewMatrix(k.NumRows(mode), RowSize(u, mode))
-		k.TTMc(y, mode, u, threads)
-		for i := range ref.Data {
-			if y.Data[i] != ref.Data[i] {
-				t.Fatalf("threads=%d: cached partition broke results at %d", threads, i)
-			}
+		y := dense.NewMatrix(sm.NumRows(), RowSize(u, sm.N))
+		TTMcSched(y, x, sm, u, threads, par.ScheduleBalanced)
+		if !slices.Equal(y.Data, ref.Data) {
+			t.Fatalf("threads=%d: cached partition broke results", threads)
+		}
+		if got := len(sm.Chains(threads)) - 1; got != threads {
+			t.Fatalf("threads=%d: cached partition has %d chains", threads, got)
 		}
 	}
 }

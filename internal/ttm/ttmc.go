@@ -82,12 +82,12 @@ func TTMcRowsSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int
 }
 
 // flatRows is the owner-computes row loop behind every flat TTMc entry
-// point, COO and ALTO alike: output row j is zeroed and then
-// accumulates, in update-list order, every nonzero of symbolic row
-// rows[j] (of row j itself when rows is nil). The balanced schedule
+// point: output row j is zeroed and then accumulates, in update-list
+// order, every nonzero of symbolic row rows[j] (of row j itself when
+// rows is nil). The balanced schedule
 // chains over the rows' nonzero weights, cached on sm for the full row
 // set and computed per call for a subset.
-func flatRows(y *dense.Matrix, x tensor.Sparse, sm *symbolic.Mode, rows []int32, u []*dense.Matrix, threads int, sched par.Schedule) {
+func flatRows(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int32, u []*dense.Matrix, threads int, sched par.Schedule) {
 	threads = par.DefaultThreads(threads)
 	kr := newKron(x, u, sm.N, sm.N+1)
 	chains := func() []int32 {

@@ -181,14 +181,15 @@ func BenchmarkAblationNumericSweep(b *testing.B) {
 	}
 }
 
-// TRSVD solver ablation: Lanczos (paper's choice) vs subspace iteration
-// vs explicit Gram, on the same matricized-tensor shape.
-func benchTRSVD(b *testing.B, method core.SVDMethod) {
+// BenchmarkAblationTRSVDLanczos times HOOI sweeps whose TRSVD runs
+// Lanczos (the paper's solver, and the only fixed-rank one) on a fixed
+// matricized-tensor shape.
+func BenchmarkAblationTRSVDLanczos(b *testing.B) {
 	x := gen.Random(gen.Config{Dims: []int{500, 400, 300}, NNZ: 20000, Skew: 0.5, Seed: 4})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := core.Decompose(x, core.Options{
-			Ranks: []int{10, 10, 10}, MaxIters: 2, Tol: -1, Seed: 5, SVD: method,
+			Ranks: []int{10, 10, 10}, MaxIters: 2, Tol: -1, Seed: 5,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -196,26 +197,29 @@ func benchTRSVD(b *testing.B, method core.SVDMethod) {
 	}
 }
 
-func BenchmarkAblationTRSVDLanczos(b *testing.B)    { benchTRSVD(b, core.SVDLanczos) }
-func BenchmarkAblationTRSVDSubspace(b *testing.B)   { benchTRSVD(b, core.SVDSubspace) }
-func BenchmarkAblationTRSVDGram(b *testing.B)       { benchTRSVD(b, core.SVDGram) }
-func BenchmarkAblationTRSVDRandomized(b *testing.B) { benchTRSVD(b, core.SVDRandomized) }
-
-// BenchmarkSolverCompare keeps the htbench -solver driver wired into
-// the CI benchmark smoke: the randomized and Lanczos solvers must both
-// complete on every preset and land within the benchmark noise floor
-// of each other.
+// BenchmarkSolverCompare keeps the scaling report's TRSVD cell wired
+// into the CI benchmark smoke: on every preset the fixed-rank Lanczos
+// solve must report its operator madds and the adaptive-rank (eps)
+// solve must choose a rank for every mode.
 func BenchmarkSolverCompare(b *testing.B) {
 	o := benchOpts()
-	o.Reps = 1
 	for i := 0; i < b.N; i++ {
-		cells, err := bench.Solver(o, io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range cells {
-			if c.RandDFit > 1e-5 {
-				b.Fatalf("randomized fit drifted %g from Lanczos", c.RandDFit)
+		for _, name := range []string{"netflix", "nell", "delicious", "flickr"} {
+			cfg, err := gen.Preset(name, o.Scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			x := gen.Random(cfg)
+			ranks := gen.PaperRanks(x.Order())
+			for n := range ranks {
+				ranks[n] = min(ranks[n], x.Dims[n])
+			}
+			cell, err := bench.SolverCompare(x, ranks, o.Iters, 1, 2, o.Seed+31)
+			if err != nil {
+				b.Fatalf("%s: %v", name, err)
+			}
+			if cell.LanczosMadds <= 0 || len(cell.EpsRanks) != x.Order() {
+				b.Fatalf("%s: incomplete TRSVD cell %+v", name, cell)
 			}
 		}
 	}

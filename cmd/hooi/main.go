@@ -6,13 +6,19 @@
 // Examples:
 //
 //	hooi -input x.tns -ranks 10,10,10 -iters 20 -tol 1e-5
-//	hooi -input x.tns -ranks 10,10,10 -svd rand -sketch gauss
 //	hooi -input x.tns -eps 0.25
+//	hooi -input x.tns -eps 0.1 -ranks 20,20,20 -sketch count
 //	hooi -input x.tns -ranks 5,5,5,5 -ttmc dtree
 //	hooi -input x.tns -ranks 10,10,10 -ttmc dtree -update delta.tns
 //	hooi -input x.tns -ranks 5,5,5,5 -dist 16 -grain fine -method hp
 //	hooi -input x.tns -ranks 5,5,5 -dist spawn -np 4
 //	hooi -input x.tns -ranks 5,5,5 -dist tcp -rank 0 -peers h0:9000,h1:9000
+//
+// Fixed-rank runs compute every TRSVD with Lanczos. -eps switches to
+// adaptive rank, whose randomized sketch solver is the only consumer of
+// -sketch, -oversample and -power (ST-HOSVD also takes -oversample and
+// -power); passing them to a fixed-rank HOOI run or to -dist is an
+// error.
 //
 // -dist spawn forks -np rank processes on this machine (binding their
 // loopback ports first, so the launch is race-free) and waits; -dist
@@ -63,11 +69,10 @@ func main() {
 		sched   = flag.String("schedule", "balanced", "parallel loop schedule: balanced | dynamic | static")
 		algo    = flag.String("algo", "hooi", "algorithm: hooi | sthosvd | sthosvd+hooi")
 		initM   = flag.String("init", "random", "factor initialization: random | hosvd")
-		svd     = flag.String("svd", "lanczos", "TRSVD solver: lanczos | subspace | gram | rand")
 		eps     = flag.Float64("eps", 0, "adaptive-rank relative error target in (0,1]; selects per-mode ranks from the sketched spectrum (-ranks becomes an optional cap)")
-		sketch  = flag.String("sketch", "gauss", "randomized solver sketching operator: gauss | count")
-		oversmp = flag.Int("oversample", 0, "randomized solver oversampling columns (0 = default 8)")
-		power   = flag.Int("power", 0, "randomized solver power-iteration cap (0 = default 6, negative = none); the solver stops early once its Ritz energies settle")
+		sketch  = flag.String("sketch", "gauss", "-eps sketch solver's sketching operator: gauss | count")
+		oversmp = flag.Int("oversample", 0, "-eps sketch solver / ST-HOSVD oversampling columns (0 = default 8)")
+		power   = flag.Int("power", 0, "-eps sketch solver / ST-HOSVD power-iteration cap (0 = default 6, negative = none); the sketch solver stops early once its Ritz energies settle")
 		ttmc    = flag.String("ttmc", "flat", "TTMc strategy: flat | dtree (memoized dimension tree)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		distM   = flag.String("dist", "", "distributed mode: a rank count (simulated, in-process), \"tcp\" (join a multi-process group as one rank), or \"spawn\" (fork -np rank processes locally); empty or 0 = shared memory")
@@ -119,11 +124,14 @@ func main() {
 		if *eps != 0 {
 			fail(fmt.Errorf("-eps adaptive rank is a shared-memory engine feature; it cannot be combined with -dist"))
 		}
+		if *sketch != "gauss" || *oversmp != 0 || *power != 0 {
+			fail(fmt.Errorf("-sketch, -oversample and -power configure the -eps sketch solver; distributed HOOI runs Lanczos and cannot take them"))
+		}
 		if ranks == nil {
 			fail(fmt.Errorf("-dist requires explicit -ranks"))
 		}
 		d := distRun{
-			input: *input, ranks: ranks, grain: *grain, method: *method, svd: *svd,
+			input: *input, ranks: ranks, grain: *grain, method: *method,
 			exchange: *exch,
 			iters:    *iters, tol: *tol, seed: *seed, timeout: *distTO, quiet: *quiet,
 			ckptDir: *ckptDir, ckptEvery: *ckptEvery, maxRestarts: *maxRestart,
@@ -179,16 +187,22 @@ func main() {
 		fail(err)
 	}
 	opts := hypertensor.Options{
-		Ranks:      ranks,
-		Eps:        *eps,
-		MaxIters:   *iters,
-		Tol:        *tol,
-		Threads:    *threads,
-		Schedule:   schedule,
-		Seed:       *seed,
-		Initial:    warmStart,
-		Oversample: *oversmp,
-		PowerIters: *power,
+		Ranks:    ranks,
+		Eps:      *eps,
+		MaxIters: *iters,
+		Tol:      *tol,
+		Threads:  *threads,
+		Schedule: schedule,
+		Seed:     *seed,
+		Initial:  warmStart,
+	}
+	// The sketch settings belong to the -eps solver. A fixed-rank
+	// sthosvd+hooi run has already spent -oversample/-power on ST-HOSVD;
+	// anywhere else they reach HOOI, whose Validate rejects them at
+	// fixed rank instead of ignoring them.
+	if *eps > 0 || *algo == "hooi" {
+		opts.Oversample = *oversmp
+		opts.PowerIters = *power
 	}
 	switch *initM {
 	case "random":
@@ -198,11 +212,6 @@ func main() {
 	default:
 		fail(fmt.Errorf("unknown init %q", *initM))
 	}
-	m, err := parseSVD(*svd)
-	if err != nil {
-		fail(err)
-	}
-	opts.SVD = m
 	switch *sketch {
 	case "gauss":
 		opts.Sketch = hypertensor.SketchGauss
@@ -362,28 +371,12 @@ func humanInt(v int64) string {
 	return fmt.Sprintf("%d", v)
 }
 
-// parseSVD maps the -svd flag to a solver method.
-func parseSVD(s string) (hypertensor.SVDMethod, error) {
-	switch s {
-	case "lanczos":
-		return hypertensor.SVDLanczos, nil
-	case "subspace":
-		return hypertensor.SVDSubspace, nil
-	case "gram":
-		return hypertensor.SVDGram, nil
-	case "rand":
-		return hypertensor.SVDRandomized, nil
-	}
-	return hypertensor.SVDLanczos, fmt.Errorf("unknown svd %q", s)
-}
-
 // distRun carries the flag state a distributed launch needs, in any of
 // its three modes (simulated ranks, one TCP rank, local spawn).
 type distRun struct {
 	input         string
 	ranks         []int
 	grain, method string
-	svd           string
 	exchange      string
 	iters         int
 	tol           float64
@@ -409,20 +402,11 @@ func (d *distRun) config() hypertensor.DistConfig {
 		fail(err)
 	}
 	cfg := hypertensor.DistConfig{
-		Ranks: d.ranks, MaxIters: d.iters, Tol: d.tol, Seed: d.seed, SVD: d.svdMethod(),
+		Ranks: d.ranks, MaxIters: d.iters, Tol: d.tol, Seed: d.seed,
 		Exchange:      ex,
 		CheckpointDir: d.ckptDir, CheckpointEvery: d.ckptEvery,
 	}
 	return cfg
-}
-
-// svdMethod resolves the -svd flag for the distributed configs.
-func (d *distRun) svdMethod() hypertensor.SVDMethod {
-	m, err := parseSVD(d.svd)
-	if err != nil {
-		fail(err)
-	}
-	return m
 }
 
 func (d *distRun) partition(x *hypertensor.SparseTensor, p int) *hypertensor.Partition {
@@ -609,7 +593,6 @@ func (d *distRun) spawnOnce(exe string, np, attempt int) *rankFailure {
 			"-seed", strconv.FormatInt(d.seed, 10),
 			"-grain", d.grain,
 			"-method", d.method,
-			"-svd", d.svd,
 			"-exchange", d.exchange,
 			"-dist", "tcp",
 			"-rank", strconv.Itoa(r),

@@ -32,7 +32,6 @@ func main() {
 		met     = flag.Bool("met", false, "run the MET single-core comparison")
 		dtree   = flag.Bool("dtree", false, "run the dimension-tree vs flat TTMc comparison")
 		scaling = flag.Bool("scaling", false, "run the thread-scaling sweep (per-thread speedup table)")
-		solver  = flag.Bool("solver", false, "run the randomized-vs-Lanczos TRSVD solver comparison")
 		comm    = flag.Bool("comm", false, "run the comm-volume table: modeled hypergraph cut vs realized sparse-exchange bytes per partition method at p=2,4")
 		chaos   = flag.Bool("chaos", false, "run the fault-injection experiment: seed-swept transport faults plus a kill-and-recover checkpoint demonstration")
 		schedIn = flag.String("sched", "balanced", "scaling sweep schedule: balanced | dynamic | static")
@@ -50,7 +49,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "seed for datasets and partitioners")
 	)
 	flag.Parse()
-	if !*all && *table == 0 && !*met && !*dtree && !*scaling && !*solver && !*chaos && !*comm {
+	if !*all && *table == 0 && !*met && !*dtree && !*scaling && !*chaos && !*comm {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -144,11 +143,6 @@ func main() {
 	}
 	if *dtree {
 		if _, err := bench.DTreeCompare(o, out); err != nil {
-			fail(err)
-		}
-	}
-	if *solver {
-		if _, err := bench.Solver(o, out); err != nil {
 			fail(err)
 		}
 	}

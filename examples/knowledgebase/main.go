@@ -1,7 +1,7 @@
 // Knowledgebase: a NELL-style (entity, relation, entity) belief tensor
 // (paper ref [2]) decomposed with Tucker to surface latent entity
-// groups, comparing random vs HOSVD-style initialization and the three
-// TRSVD solvers — the knobs §III.A.2 discusses.
+// groups, comparing random vs HOSVD-style initialization of the
+// Lanczos-driven HOOI sweeps (§III.A.2).
 //
 //	go run ./examples/knowledgebase
 package main
@@ -59,18 +59,15 @@ func main() {
 	type variant struct {
 		name string
 		init hypertensor.InitMethod
-		svd  hypertensor.SVDMethod
 	}
 	variants := []variant{
-		{"random init + Lanczos", hypertensor.InitRandom, hypertensor.SVDLanczos},
-		{"HOSVD init + Lanczos", hypertensor.InitHOSVD, hypertensor.SVDLanczos},
-		{"HOSVD init + subspace", hypertensor.InitHOSVD, hypertensor.SVDSubspace},
-		{"HOSVD init + Gram", hypertensor.InitHOSVD, hypertensor.SVDGram},
+		{"random init", hypertensor.InitRandom},
+		{"HOSVD init", hypertensor.InitHOSVD},
 	}
 	var best *hypertensor.Decomposition
 	for _, v := range variants {
 		dec, err := hypertensor.Decompose(x, hypertensor.Options{
-			Ranks: ranks, MaxIters: 15, Tol: 1e-6, Seed: 9, Init: v.init, SVD: v.svd,
+			Ranks: ranks, MaxIters: 15, Tol: 1e-6, Seed: 9, Init: v.init,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -72,11 +72,8 @@ type (
 	SweepState = core.SweepState
 	// InitMethod selects factor initialization (InitRandom, InitHOSVD).
 	InitMethod = core.InitMethod
-	// SVDMethod selects the TRSVD solver (SVDLanczos, SVDSubspace,
-	// SVDGram, SVDRandomized).
-	SVDMethod = core.SVDMethod
-	// SketchKind selects the randomized solver's sketching operator
-	// (SketchGauss, SketchCount).
+	// SketchKind selects the sketching operator of the randomized solver
+	// behind Options.Eps (SketchGauss, SketchCount).
 	SketchKind = core.SketchKind
 	// TTMcStrategy selects the TTMc evaluation path (TTMcFlat,
 	// TTMcDTree).
@@ -140,11 +137,6 @@ type (
 const (
 	InitRandom = core.InitRandom
 	InitHOSVD  = core.InitHOSVD
-
-	SVDLanczos    = core.SVDLanczos
-	SVDSubspace   = core.SVDSubspace
-	SVDGram       = core.SVDGram
-	SVDRandomized = core.SVDRandomized
 
 	SketchGauss = core.SketchGauss
 	SketchCount = core.SketchCount

@@ -50,7 +50,7 @@ func Decompose(x *tensor.COO, optsIn core.Options) (*core.Result, error) {
 		for n := 0; n < order; n++ {
 			rows, y := ttm.ChainTTMc(x, n, factors)
 			op := &trsvd.DenseOperator{A: y, Threads: opts.Threads}
-			sres, err := state.SolveOperator(op, n, opts.Ranks[n], core.SVDLanczos, nil)
+			sres, err := state.SolveOperator(op, n, opts.Ranks[n], nil)
 			if err != nil {
 				return nil, fmt.Errorf("baseline: TRSVD failed in mode %d: %w", n, err)
 			}

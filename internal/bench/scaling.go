@@ -104,9 +104,9 @@ type ScalingRow struct {
 	// Dist holds the multi-process transport rows (one per rank count in
 	// distNPs), measured over TCP loopback.
 	Dist []DistCell `json:"dist,omitempty"`
-	// Solver is the randomized-vs-Lanczos TRSVD comparison at the
-	// sweep's largest thread count (madds and |Δfit| deterministic and
-	// gated; seconds host-gated; eps_ranks gated with a small slack).
+	// Solver is the TRSVD cell at the sweep's largest thread count:
+	// Lanczos madds deterministic and gated, Lanczos seconds recorded,
+	// eps_ranks gated with a small slack.
 	Solver *SolverCell `json:"solver,omitempty"`
 	// Checkpoint is the crash-recovery row (schema 7): checkpoint bytes
 	// deterministic and gated, write/restore seconds host-gated.
@@ -142,7 +142,10 @@ type ScalingReport struct {
 // volume the HP-beats-block gate compares against; schema 9 dropped the
 // ALTO cell and the report's format field when COO became the only
 // storage, so the thread cells, madds, and index bytes measure the COO
-// flat kernel instead of the CSF fiber walk.
+// flat kernel instead of the CSF fiber walk. The solver cell lost its
+// rand_trsvd_sec, rand_madds and rand_dfit fields when fixed-rank TRSVD
+// became Lanczos-only; every remaining field kept its meaning, so the
+// schema number did not move (decoding ignores the old keys).
 const scalingSchema = 9
 
 // distNPs are the multi-process rank counts measured per dataset.
@@ -162,12 +165,6 @@ const timeNoiseFloorSec = 0.025
 // shared-memory thread cells; the network-volume gate, which is
 // deterministic, carries the regression signal at small scales.
 const distTimeNoiseFloorSec = 0.075
-
-// dfitNoiseFloor is the absolute slack of the randomized-solver
-// accuracy gate: when the baseline |Δfit| is essentially zero, a few
-// ulps of cross-build drift would otherwise trip the fractional
-// tolerance.
-const dfitNoiseFloor = 1e-6
 
 // allocNoiseFloor is the absolute allocs-per-sweep slack of the
 // allocation gate: GC timing can empty a sync.Pool mid-sweep and force
@@ -744,27 +741,16 @@ func CompareScaling(base, cur *ScalingReport, tol, timeTol float64, w io.Writer)
 					c.Dataset, dc.NP, bd.SweepSec, dc.SweepSec, timeTol*100)
 			}
 		}
-		// The solver-comparison gates: madds are deterministic operation
-		// counts (fractional tolerance), |Δfit| is the randomized solver's
-		// accuracy contract (fractional tolerance plus an absolute floor —
-		// at baseline |Δfit| near zero a few ulps of drift are not
-		// signal), and the eps-selected ranks may move by at most
-		// epsRankSlack per mode. Wall clock follows the host rules below.
+		// The TRSVD gates: Lanczos madds are deterministic operation
+		// counts (fractional tolerance), and the eps-selected ranks may
+		// move by at most epsRankSlack per mode.
 		if b.Solver != nil {
 			if c.Solver == nil {
 				return fmt.Errorf("bench: %s no longer reports the solver comparison present in the baseline", c.Dataset)
 			}
-			if exceeds(float64(c.Solver.RandMadds), float64(b.Solver.RandMadds), tol) {
-				return fmt.Errorf("bench: %s randomized-solver madds regressed %d -> %d (> %.0f%%)",
-					c.Dataset, b.Solver.RandMadds, c.Solver.RandMadds, tol*100)
-			}
 			if exceeds(float64(c.Solver.LanczosMadds), float64(b.Solver.LanczosMadds), tol) {
 				return fmt.Errorf("bench: %s Lanczos-solver madds regressed %d -> %d (> %.0f%%)",
 					c.Dataset, b.Solver.LanczosMadds, c.Solver.LanczosMadds, tol*100)
-			}
-			if c.Solver.RandDFit > b.Solver.RandDFit*(1+tol)+dfitNoiseFloor {
-				return fmt.Errorf("bench: %s randomized-solver |dfit| regressed %.3e -> %.3e (> %.0f%% + %.0e)",
-					c.Dataset, b.Solver.RandDFit, c.Solver.RandDFit, tol*100, dfitNoiseFloor)
 			}
 			if c.Solver.Eps == b.Solver.Eps {
 				if len(c.Solver.EpsRanks) != len(b.Solver.EpsRanks) {
@@ -778,11 +764,6 @@ func CompareScaling(base, cur *ScalingReport, tol, timeTol float64, w io.Writer)
 							c.Dataset, b.Solver.EpsRanks, c.Solver.EpsRanks, epsRankSlack, n+1)
 					}
 				}
-			}
-			if timeGate && timeTol > 0 && c.Solver.RandTRSVDSec-b.Solver.RandTRSVDSec >= timeNoiseFloorSec &&
-				exceeds(c.Solver.RandTRSVDSec, b.Solver.RandTRSVDSec, timeTol) {
-				return fmt.Errorf("bench: %s randomized-solver TRSVD time regressed %.4fs -> %.4fs (> %.0f%%)",
-					c.Dataset, b.Solver.RandTRSVDSec, c.Solver.RandTRSVDSec, timeTol*100)
 			}
 		}
 		// The checkpoint gates (schema 7): the serialized size is a

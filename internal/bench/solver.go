@@ -21,30 +21,25 @@ const solverEps = 0.25
 // contract degrading.
 const epsRankSlack = 2
 
-// SolverCell is one dataset's randomized-vs-Lanczos TRSVD comparison,
-// measured at identical ranks, sweeps, and threads with the default
-// flat TTMc. Madds and |Δfit| are deterministic and gated against the
-// committed baseline; the per-sweep TRSVD seconds follow the same
-// host-fingerprint rules as the thread cells. EpsRanks records the
-// per-mode ranks the adaptive-rank path (Options.Eps = solverEps)
-// selects, a deterministic regression signal for the epsilon-truncation
-// machinery.
+// SolverCell is one dataset's TRSVD cell, measured with the default
+// flat TTMc: the fixed-rank Lanczos solve (per-sweep TRSVD seconds
+// min-of-reps and its operator madds) and the per-mode ranks the
+// adaptive-rank path (Options.Eps = solverEps, the randomized sketch
+// solver) selects. Madds and EpsRanks are deterministic and gated
+// against the committed baseline; they are the regression signals for
+// the Lanczos solver and the epsilon-truncation machinery.
 type SolverCell struct {
 	LanczosTRSVDSec float64 `json:"lanczos_trsvd_sec"`
-	RandTRSVDSec    float64 `json:"rand_trsvd_sec"`
 	LanczosMadds    int64   `json:"lanczos_madds"`
-	RandMadds       int64   `json:"rand_madds"`
-	// RandDFit is |fit(rand) - fit(lanczos)| after the full sweep budget.
-	RandDFit float64 `json:"rand_dfit"`
-	Eps      float64 `json:"eps"`
-	EpsRanks []int   `json:"eps_ranks"`
+	Eps             float64 `json:"eps"`
+	EpsRanks        []int   `json:"eps_ranks"`
 }
 
-// SolverCompare runs the two TRSVD solvers head to head on one tensor:
-// a Lanczos solve and a randomized-sketch solve at the same ranks,
-// sweep budget, seed, and thread count (TRSVD seconds min-of-reps, like
-// every wall-clock measurement here), plus one adaptive-rank solve at
-// Eps = solverEps to record the selected per-mode ranks.
+// SolverCompare measures one tensor's TRSVD cell: a fixed-rank Lanczos
+// solve at the given ranks, sweep budget, seed, and thread count (TRSVD
+// seconds min-of-reps, like every wall-clock measurement here), plus
+// one adaptive-rank solve at Eps = solverEps to record the selected
+// per-mode ranks.
 func SolverCompare(x *tensor.COO, ranks []int, iters, reps, threads int, seed int64) (*SolverCell, error) {
 	if reps < 1 {
 		reps = 1
@@ -56,40 +51,17 @@ func SolverCompare(x *tensor.COO, ranks []int, iters, reps, threads int, seed in
 		Threads:  threads,
 		Seed:     seed,
 	}
-	cell := &SolverCell{Eps: solverEps}
-	var fitLanczos, fitRand float64
-	for _, method := range []core.SVDMethod{core.SVDLanczos, core.SVDRandomized} {
-		opts := base
-		opts.SVD = method
-		best := -1.0
-		for rep := 0; rep < reps; rep++ {
-			r, err := core.Decompose(x, opts)
-			if err != nil {
-				return nil, fmt.Errorf("solver %v: %w", method, err)
-			}
-			sec := r.Timings.TRSVD.Seconds() / float64(r.Iters)
-			if best < 0 || sec < best {
-				best = sec
-			}
-			switch method {
-			case core.SVDLanczos:
-				fitLanczos = r.Fit
-				cell.LanczosMadds = r.TRSVDMadds
-			default:
-				fitRand = r.Fit
-				cell.RandMadds = r.TRSVDMadds
-			}
+	cell := &SolverCell{Eps: solverEps, LanczosTRSVDSec: -1}
+	for rep := 0; rep < reps; rep++ {
+		r, err := core.Decompose(x, base)
+		if err != nil {
+			return nil, fmt.Errorf("lanczos: %w", err)
 		}
-		switch method {
-		case core.SVDLanczos:
-			cell.LanczosTRSVDSec = best
-		default:
-			cell.RandTRSVDSec = best
+		sec := r.Timings.TRSVD.Seconds() / float64(r.Iters)
+		if cell.LanczosTRSVDSec < 0 || sec < cell.LanczosTRSVDSec {
+			cell.LanczosTRSVDSec = sec
 		}
-	}
-	cell.RandDFit = fitRand - fitLanczos
-	if cell.RandDFit < 0 {
-		cell.RandDFit = -cell.RandDFit
+		cell.LanczosMadds = r.TRSVDMadds
 	}
 
 	// Adaptive rank: cap each mode a little above the fixed rank so the
@@ -113,48 +85,20 @@ func SolverCompare(x *tensor.COO, ranks []int, iters, reps, threads int, seed in
 	return cell, nil
 }
 
-// Solver runs the randomized-vs-Lanczos comparison standalone on every
-// preset dataset at the sweep's largest thread count (`htbench
-// -solver`), printing the same table the scaling report embeds.
-func Solver(o Options, w io.Writer) ([]*SolverCell, error) {
-	o = o.withDefaults()
-	rep := &ScalingReport{}
-	var cells []*SolverCell
-	for _, name := range []string{"netflix", "nell", "delicious", "flickr"} {
-		x, err := dataset(name, o.Scale)
-		if err != nil {
-			return nil, err
-		}
-		cell, err := SolverCompare(x, ranksFor(x), o.Iters, o.Reps, maxInt(o.Threads), o.Seed+31)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		cells = append(cells, cell)
-		rep.Rows = append(rep.Rows, ScalingRow{Dataset: name, Solver: cell})
-	}
-	renderSolverTable(rep, w)
-	return cells, nil
-}
-
-// renderSolverTable prints the per-dataset solver comparison rows of a
-// scaling report.
+// renderSolverTable prints the per-dataset TRSVD cells of a scaling
+// report.
 func renderSolverTable(rep *ScalingReport, w io.Writer) {
 	t := &Table{
-		Title:   "TRSVD solver comparison: randomized sketch vs Lanczos (same ranks, sweeps, threads)",
-		Headers: []string{"Tensor", "lanczos s", "rand s", "speedup", "lanczos madds", "rand madds", "|dfit|", "eps", "eps ranks"},
+		Title:   "TRSVD: fixed-rank Lanczos and eps-selected ranks (sketch solver)",
+		Headers: []string{"Tensor", "lanczos s", "lanczos madds", "eps", "eps ranks"},
 	}
 	for _, row := range rep.Rows {
 		s := row.Solver
 		if s == nil {
 			continue
 		}
-		speedup := ""
-		if s.RandTRSVDSec > 0 {
-			speedup = fmt.Sprintf("%.2fx", s.LanczosTRSVDSec/s.RandTRSVDSec)
-		}
-		t.AddRow(row.Dataset, secs(s.LanczosTRSVDSec), secs(s.RandTRSVDSec), speedup,
-			humanCount(s.LanczosMadds), humanCount(s.RandMadds),
-			fmt.Sprintf("%.2e", s.RandDFit), fmt.Sprintf("%g", s.Eps), fmt.Sprintf("%v", s.EpsRanks))
+		t.AddRow(row.Dataset, secs(s.LanczosTRSVDSec), humanCount(s.LanczosMadds),
+			fmt.Sprintf("%g", s.Eps), fmt.Sprintf("%v", s.EpsRanks))
 	}
 	t.Render(w)
 }

@@ -192,12 +192,10 @@ func (e *Engine) flopsTotal() int64 {
 // warmVec gathers the compact left warm-start vector for mode n into a
 // reusable per-mode buffer: the leading column of the current factor at
 // the nonempty slices — the scattered leading left singular vector of
-// the previous solve. Only the Lanczos solver consumes warm starts, so
-// other methods skip the gather entirely.
+// the previous solve. Only the fixed-rank Lanczos solves consume warm
+// starts; Eps runs warm their randomized sketches from the workspace
+// instead and never call this.
 func (e *Engine) warmVec(n int, sm *symbolic.Mode) []float64 {
-	if e.opts.SVD != SVDLanczos {
-		return nil
-	}
 	u := e.state.Factors[n]
 	if u.Cols == 0 {
 		return nil
@@ -237,7 +235,6 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 
 	var memBase runtime.MemStats
 	allocFrom := -1
-	randSolver := opts.SVD == SVDRandomized || opts.Eps > 0
 	// The streaming single-pass sketch engages only on warm
 	// re-convergence after an Update: there the retained right bases and
 	// Ritz energies sit at the previous fixed point, so the first
@@ -247,7 +244,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 	// solves — on nearly flat spectra the early sweeps pick the subspace
 	// basin the whole trajectory settles into, and an under-resolved
 	// solve there shifts the final fit by far more than it saves.
-	e.state.SinglePass = e.warmReady && randSolver
+	e.state.SinglePass = e.warmReady && opts.Eps > 0
 	fits := NewFitTracker(e.normX, opts.Tol)
 	startIter := 0
 	if rs := e.resume; rs != nil {
@@ -326,7 +323,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 					warm = e.warmVec(n, sm)
 				}
 				var err error
-				uc, matvecs, err = e.state.SolveDense(e.ys[n], n, opts.Ranks[n], opts.SVD, opts.Threads, warm)
+				uc, matvecs, err = e.state.SolveDense(e.ys[n], n, opts.Ranks[n], SVDLanczos, opts.Threads, warm)
 				if err != nil {
 					return nil, fmt.Errorf("core: TRSVD failed in mode %d: %w", n, err)
 				}

@@ -64,7 +64,7 @@ type Result struct {
 	ChosenRanks []int
 	// TRSVDMadds counts the operator multiply-adds spent inside the
 	// TRSVD solves (operator applications x matricization size, summed
-	// over all solves) — for the randomized solver, the sketch flops.
+	// over all solves) — for an Eps run, the sketch solver's panel flops.
 	TRSVDMadds int64
 
 	// Update accounting, populated by Engine.Update (zero for cold

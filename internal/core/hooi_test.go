@@ -167,23 +167,6 @@ func TestCoreNormNeverExceedsTensorNorm(t *testing.T) {
 	}
 }
 
-func TestSVDMethodsAgreeOnFit(t *testing.T) {
-	x := gen.Random(gen.Config{Dims: []int{25, 20, 15}, NNZ: 700, Skew: 0.4, Seed: 10})
-	var fits []float64
-	for _, m := range []SVDMethod{SVDLanczos, SVDSubspace, SVDGram} {
-		res, err := Decompose(x, Options{Ranks: []int{3, 3, 3}, MaxIters: 10, Tol: -1, Seed: 11, SVD: m})
-		if err != nil {
-			t.Fatalf("method %d: %v", m, err)
-		}
-		fits = append(fits, res.Fit)
-	}
-	for i := 1; i < len(fits); i++ {
-		if math.Abs(fits[i]-fits[0]) > 5e-3 {
-			t.Fatalf("fits diverge across SVD methods: %v", fits)
-		}
-	}
-}
-
 func TestInitMethods(t *testing.T) {
 	x := gen.Random(gen.Config{Dims: []int{30, 25, 20}, NNZ: 900, Skew: 0.5, Seed: 12})
 	for _, init := range []InitMethod{InitRandom, InitHOSVD} {
@@ -224,6 +207,11 @@ func TestValidateErrors(t *testing.T) {
 		{Ranks: []int{5, 1, 1}},               // rank exceeds product of others
 		{Ranks: []int{2, 2, 2}, MaxIters: -1}, // negative sweep cap
 		{Ranks: []int{2, 2, 2}, Threads: -1},  // negative thread count
+		// Sketch settings select nothing at fixed rank (Lanczos).
+		{Ranks: []int{2, 2, 2}, Sketch: SketchCount},
+		{Ranks: []int{2, 2, 2}, Oversample: 4},
+		{Ranks: []int{2, 2, 2}, PowerIters: 2},
+		{Ranks: []int{2, 2, 2}, PowerIters: -1},
 	}
 	for i, o := range cases {
 		if _, err := Decompose(x, o); err == nil {

@@ -68,26 +68,15 @@ const (
 	TTMcDTree
 )
 
-// SVDMethod selects the truncated SVD solver used for the TRSVD step.
+// SVDMethod names a TRSVD solver. Fixed-rank HOOI always runs Lanczos,
+// so SVDLanczos is the only value; the type remains because
+// SweepState.SolveDense still takes a method argument that existing
+// per-layer benchmark callers pass.
 type SVDMethod int
 
-const (
-	// SVDLanczos is Golub–Kahan–Lanczos bidiagonalization, the paper's
-	// (SLEPc) method and the default.
-	SVDLanczos SVDMethod = iota
-	// SVDSubspace is randomized block subspace iteration (ablation).
-	SVDSubspace
-	// SVDGram forms the small column-side Gram matrix explicitly
-	// (ablation; feasible because Y_(n) has only ∏_{t≠n} R_t columns).
-	SVDGram
-	// SVDRandomized is the sketched range-finder solver
-	// (trsvd.Randomized): a deterministic Gaussian or CountSketch panel
-	// through the operator, power iterations, CholeskyQR2 Gram
-	// whitening, and a projected small SVD — a handful of BLAS3 passes
-	// instead of Lanczos's GEMV chain, at equal fit on the benchmark
-	// presets. Options.Eps switches it to adaptive rank selection.
-	SVDRandomized
-)
+// SVDLanczos is Golub–Kahan–Lanczos bidiagonalization, the paper's
+// (SLEPc) method and the solver of every fixed-rank TRSVD.
+const SVDLanczos SVDMethod = 0
 
 // SketchKind re-exports trsvd.SketchKind for Options.Sketch.
 type SketchKind = trsvd.SketchKind
@@ -111,18 +100,21 @@ type Options struct {
 	// so the estimated tail energy stays below the per-mode threshold
 	// eps²·‖X‖²/N (the BTAS threshold split), growing the sketch
 	// geometrically until the bound is certified. The decomposition then
-	// satisfies ‖X − X̂‖ ≲ eps·‖X‖. Implies SVDRandomized. Must lie in
-	// (0, 1].
+	// satisfies ‖X − X̂‖ ≲ eps·‖X‖. Every TRSVD of an Eps run uses the
+	// randomized sketch solver (trsvd.Randomized); fixed-rank runs
+	// (Eps == 0) use Lanczos. Must lie in (0, 1].
 	Eps float64
 	// Sketch selects the randomized solver's sketching operator
-	// (SketchGauss by default; SVDRandomized and Eps runs only).
+	// (SketchGauss by default). Eps runs only: Validate rejects a
+	// non-default value when Eps is 0.
 	Sketch SketchKind
 	// Oversample adds extra sketch columns beyond the target rank in the
-	// randomized solver (0 selects 8).
+	// randomized solver (0 selects 8). Eps runs only, like Sketch.
 	Oversample int
 	// PowerIters caps the randomized solver's power-iteration rounds
 	// (0 selects 6, negative selects none); the solver stops below the
-	// cap as soon as its Ritz energies settle.
+	// cap as soon as its Ritz energies settle. Eps runs only, like
+	// Sketch.
 	PowerIters int
 	// MaxIters caps the number of ALS sweeps. 0 selects 50; negative
 	// is an error.
@@ -140,8 +132,6 @@ type Options struct {
 	Schedule Schedule
 	// Init selects the factor initialization.
 	Init InitMethod
-	// SVD selects the TRSVD solver.
-	SVD SVDMethod
 	// TTMc selects the TTMc evaluation strategy (flat reference path or
 	// memoized dimension tree).
 	TTMc TTMcStrategy
@@ -166,9 +156,6 @@ func (o *Options) withDefaults() Options {
 	if out.Tol == 0 {
 		out.Tol = 1e-5
 	}
-	if out.Eps > 0 {
-		out.SVD = SVDRandomized
-	}
 	return out
 }
 
@@ -185,6 +172,18 @@ func (o *Options) Validate(x *tensor.COO) error {
 	}
 	if o.Eps != 0 && !(o.Eps > 0 && o.Eps <= 1) {
 		return fmt.Errorf("core: Eps %v outside (0, 1]", o.Eps)
+	}
+	if o.Eps == 0 {
+		// Fixed-rank runs use Lanczos; the sketch settings would select
+		// nothing.
+		switch {
+		case o.Sketch != SketchGauss:
+			return fmt.Errorf("core: a non-default Sketch needs Eps > 0 (fixed-rank TRSVD runs Lanczos)")
+		case o.Oversample != 0:
+			return fmt.Errorf("core: Oversample %d needs Eps > 0 (fixed-rank TRSVD runs Lanczos)", o.Oversample)
+		case o.PowerIters != 0:
+			return fmt.Errorf("core: PowerIters %d needs Eps > 0 (fixed-rank TRSVD runs Lanczos)", o.PowerIters)
+		}
 	}
 	if o.Eps > 0 {
 		// Adaptive rank: Ranks is optional and only caps the selection,

@@ -4,70 +4,75 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hypertensor/internal/gen"
+	"hypertensor/internal/tensor"
 )
 
-// The randomized solver must land on the same ALS fixed point as
-// Lanczos: same fit to well under the benchmark noise floor on a preset
-// tensor, and machine-precision fit on an exactly low-rank one.
-func TestRandomizedFitMatchesLanczos(t *testing.T) {
-	x, ranks := presetTensor(t, "netflix", 0.02)
-	opts := Options{Ranks: ranks, MaxIters: 5, Tol: -1, Seed: 11}
-	lan := opts
-	lan.SVD = SVDLanczos
-	rnd := opts
-	rnd.SVD = SVDRandomized
-	rl, err := Decompose(x, lan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := Decompose(x, rnd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(rl.Fit - rr.Fit); d > 1e-5 {
-		t.Fatalf("randomized fit %v vs lanczos %v (|d|=%g)", rr.Fit, rl.Fit, d)
-	}
+// epsPreset is the adaptive-rank fixture the randomized-solver tests
+// share: the netflix preset at scale 0.02 with the paper ranks as caps
+// and an Eps tight enough that every mode keeps more than one
+// direction.
+func epsPreset(t *testing.T) (*tensor.COO, Options) {
+	t.Helper()
+	x, caps := presetTensor(t, "netflix", 0.02)
+	return x, Options{Eps: 0.003, Ranks: caps, MaxIters: 5, Tol: -1, Seed: 11}
+}
 
-	rng := rand.New(rand.NewSource(71))
-	lr := lowRankTensor(rng, []int{20, 18, 16}, 3, 8)
-	res, err := Decompose(lr, Options{Ranks: []int{3, 3, 3}, MaxIters: 30, Tol: 1e-12, Seed: 2, SVD: SVDRandomized})
+// The randomized solver of an Eps run must land on the same ALS fixed
+// point as Lanczos: a fixed-rank Lanczos run at the ranks Eps chose
+// reaches the same fit to well under the benchmark noise floor.
+func TestRandomizedFitMatchesLanczos(t *testing.T) {
+	x, opts := epsPreset(t)
+	opts.MaxIters, opts.Tol = 30, 1e-10
+	re, err := Decompose(x, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Fit < 1-1e-6 {
-		t.Fatalf("randomized low-rank fit = %v, want ~1", res.Fit)
+	for n, r := range re.ChosenRanks {
+		if r < 2 {
+			t.Fatalf("mode %d chose rank %d; the fixture must keep ranks above 1: %v", n, r, re.ChosenRanks)
+		}
+	}
+	rl, err := Decompose(x, Options{Ranks: re.ChosenRanks, MaxIters: 30, Tol: 1e-10, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := math.Abs(rl.Fit - re.Fit); d > 1e-5 {
+		t.Fatalf("eps (randomized) fit %v vs lanczos %v at ranks %v (|d|=%g)", re.Fit, rl.Fit, re.ChosenRanks, d)
 	}
 }
 
-// The randomized fit trajectory must be bitwise identical for every
-// thread count and schedule: the sketch is
+// The randomized fit trajectory and the chosen ranks must be bitwise
+// identical for every thread count and schedule: the sketch is
 // counter-based, every panel reduction runs on a fixed block grid, and
-// the solver's adaptive iteration counts are decided on replicated
-// values.
+// the solver's adaptive iteration counts and rank decisions are made on
+// small b x b matrices.
 func TestRandomizedFitBitwiseAcrossThreadsAndSchedules(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	x := lowRankTensor(rng, []int{24, 18, 15, 9}, 2, 5)
+	x, base := epsPreset(t)
+	base.MaxIters = 4
 	for _, sched := range []Schedule{ScheduleStatic, ScheduleBalanced, ScheduleDynamic} {
 		var ref *Result
 		for _, threads := range []int{1, 2, 4, 8} {
-			res, err := Decompose(x, Options{
-				Ranks:    []int{2, 2, 2, 2},
-				MaxIters: 4,
-				Tol:      -1,
-				Threads:  threads,
-				Schedule: sched,
-				SVD:      SVDRandomized,
-				Seed:     5,
-			})
+			opts := base
+			opts.Threads, opts.Schedule = threads, sched
+			res, err := Decompose(x, opts)
 			if err != nil {
 				t.Fatalf("sched=%v threads=%d: %v", sched, threads, err)
 			}
 			if ref == nil {
+				for n, r := range res.ChosenRanks {
+					if r < 2 {
+						t.Fatalf("mode %d chose rank %d; the fixture must keep ranks above 1", n, r)
+					}
+				}
 				ref = res
 				continue
+			}
+			if !slices.Equal(res.ChosenRanks, ref.ChosenRanks) {
+				t.Fatalf("sched=%v threads=%d: chose ranks %v, want %v", sched, threads, res.ChosenRanks, ref.ChosenRanks)
 			}
 			if len(res.FitHistory) != len(ref.FitHistory) {
 				t.Fatalf("sched=%v threads=%d: %d sweeps vs %d",
@@ -166,18 +171,25 @@ func TestEpsValidation(t *testing.T) {
 	if _, err := Decompose(x, Options{Eps: 0.5, MaxIters: 2, Tol: -1}); err != nil {
 		t.Errorf("Eps run with nil Ranks rejected: %v", err)
 	}
+	// The sketch settings Validate rejects at fixed rank configure the
+	// Eps solver.
+	sk := Options{Eps: 0.5, MaxIters: 2, Tol: -1, Sketch: SketchCount, Oversample: 4, PowerIters: 2}
+	if _, err := Decompose(x, sk); err != nil {
+		t.Errorf("Eps run with sketch settings rejected: %v", err)
+	}
 }
 
-// The warm Update path (streaming single-pass sketches) must re-converge
-// to the same fit as a cold randomized solve of the merged tensor.
+// The warm Update path of an Eps run (streaming single-pass sketches)
+// must re-converge to the same ranks and fit as a cold Eps solve of the
+// merged tensor.
 func TestEngineUpdateRandomizedSinglePass(t *testing.T) {
-	x, ranks := presetTensor(t, "netflix", 0.02)
+	x, opts := epsPreset(t)
+	opts.MaxIters, opts.Tol, opts.Seed = 80, 1e-10, 7
 	delta := gen.Delta(x, 0.005, 0.005, 99)
 	merged := x.Clone()
 	if _, err := merged.Merge(delta); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Ranks: ranks, MaxIters: 80, Tol: 1e-10, Seed: 7, SVD: SVDRandomized}
 	p, err := NewPlan(x, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +205,14 @@ func TestEngineUpdateRandomizedSinglePass(t *testing.T) {
 	rc, err := Decompose(merged, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(ru.ChosenRanks, rc.ChosenRanks) {
+		t.Fatalf("incremental run chose ranks %v, cold run %v", ru.ChosenRanks, rc.ChosenRanks)
+	}
+	for n, r := range rc.ChosenRanks {
+		if r < 2 {
+			t.Fatalf("mode %d chose rank %d; the fixture must keep ranks above 1", n, r)
+		}
 	}
 	// The warm path streams sketches while the cold path recomputes
 	// them, so the two fits agree only approximately; 1e-6 leaves room

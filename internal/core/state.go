@@ -28,7 +28,7 @@ type SweepState struct {
 	// deterministic seeds instead of replaying the first sweep's.
 	Step int64
 	// Sketch, Oversample and PowerIters configure the randomized solver
-	// (passed through to trsvd.Options on every solve).
+	// of SolveDenseEps (passed through to trsvd.Options on every solve).
 	Sketch     trsvd.SketchKind
 	Oversample int
 	PowerIters int
@@ -66,26 +66,15 @@ func (s *SweepState) next(n int, warm []float64) trsvd.Options {
 	return o
 }
 
-// SolveDense runs the selected TRSVD solver on the compacted matricized
-// tensor for mode n and returns its |J_n| x rank left singular vector
-// block plus the solver's operator-application count. warm optionally
-// supplies a left warm-start vector (Lanczos only; see
-// trsvd.Options.WarmLeft).
-func (s *SweepState) SolveDense(y *dense.Matrix, n, rank int, method SVDMethod, threads int, warm []float64) (*dense.Matrix, int, error) {
-	sopts := s.next(n, warm)
-	op := &trsvd.DenseOperator{A: y, Threads: threads}
-	var r *trsvd.Result
-	var err error
-	switch method {
-	case SVDSubspace:
-		r, err = trsvd.SubspaceIteration(op, rank, sopts)
-	case SVDGram:
-		r, err = trsvd.GramSVD(y, rank, threads, sopts)
-	case SVDRandomized:
-		r, err = trsvd.Randomized(op, rank, sopts)
-	default:
-		r, err = trsvd.Lanczos(op, rank, sopts)
-	}
+// SolveDense runs the Lanczos TRSVD on the compacted matricized tensor
+// for mode n and returns its |J_n| x rank left singular vector block
+// plus the solver's operator-application count. warm optionally
+// supplies a left warm-start vector (see trsvd.Options.WarmLeft). The
+// method argument is ignored: SVDLanczos is the only solver, and the
+// parameter stays only so existing per-layer benchmark callers keep
+// compiling.
+func (s *SweepState) SolveDense(y *dense.Matrix, n, rank int, _ SVDMethod, threads int, warm []float64) (*dense.Matrix, int, error) {
+	r, err := trsvd.Lanczos(&trsvd.DenseOperator{A: y, Threads: threads}, rank, s.next(n, warm))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -146,21 +135,11 @@ func (s *SweepState) SolveDenseEps(y *dense.Matrix, n, guess, capR, threads int,
 	}
 }
 
-// SolveOperator runs the selected solver on a matrix-free (possibly
-// distributed) operator for mode n — the path the simulated ranks use.
-// Only the operator-interface solvers apply (Lanczos, the default, and
-// SVDRandomized/SVDSubspace); SVDGram needs an explicit matrix and
-// falls back to Lanczos here.
-func (s *SweepState) SolveOperator(op trsvd.Operator, n, rank int, method SVDMethod, warm []float64) (*trsvd.Result, error) {
-	sopts := s.next(n, warm)
-	switch method {
-	case SVDRandomized:
-		return trsvd.Randomized(op, rank, sopts)
-	case SVDSubspace:
-		return trsvd.SubspaceIteration(op, rank, sopts)
-	default:
-		return trsvd.Lanczos(op, rank, sopts)
-	}
+// SolveOperator runs the Lanczos TRSVD on a matrix-free (possibly
+// distributed) operator for mode n — the path the simulated ranks and
+// the MET baseline use.
+func (s *SweepState) SolveOperator(op trsvd.Operator, n, rank int, warm []float64) (*trsvd.Result, error) {
+	return trsvd.Lanczos(op, rank, s.next(n, warm))
 }
 
 // FitTracker accumulates the per-sweep fit trajectory and implements

@@ -32,11 +32,6 @@ type Config struct {
 	// Initial optionally supplies explicit initial factor matrices;
 	// when nil, DefaultInitial(x.Dims, Ranks, Seed) is used.
 	Initial []*dense.Matrix
-	// SVD selects the per-mode solver (default Lanczos). The randomized
-	// solver's decisions are all made on replicated b×b data after fixed
-	// rank-order reductions, so ranks with zero owned rows stay in
-	// lockstep with the rest of the world.
-	SVD core.SVDMethod
 	// CheckpointDir enables coordinated sweep-boundary checkpoints: rank
 	// 0 writes one atomically (write-temp, fsync, rename) every
 	// CheckpointEvery sweeps, after the sweep's core allreduce — at
@@ -119,7 +114,7 @@ type ModeStats struct {
 	// the factor-row expand (Algorithm 4's distribution of updated
 	// rows), the Y-row partial fold (fine grain only; coarse rows are
 	// complete locally), and the TRSVD solver's collectives (the
-	// AllReduces of the row-distributed Lanczos/randomized passes).
+	// AllReduces of the row-distributed Lanczos passes).
 	ExpandBytes int64
 	FoldBytes   int64
 	TRSVDBytes  int64
@@ -288,7 +283,6 @@ func DecomposeWorld(ctx context.Context, world mpi.Runner, x *tensor.COO, part *
 		me := c.Rank()
 		setupStart := time.Now()
 		rk := newRankState(c, x, part, gsym, allOwned, cfg.Ranks, initial, cfg.Seed)
-		rk.svd = cfg.SVD
 		rk.exchange = cfg.Exchange
 		symTime := time.Since(setupStart)
 
@@ -543,7 +537,6 @@ type rankState struct {
 	me, p    int
 	dims     []int
 	ranks    []int
-	svd      core.SVDMethod
 	exchange ExchangeKind
 	part     *Partition
 	xloc     *tensor.COO
@@ -739,7 +732,7 @@ func (rk *rankState) trsvd(n int) {
 	m := &rk.modes[n]
 	op := &rowDistOperator{a: m.yOwn, c: rk.c, gids: m.gids, tmp: make([]float64, m.yOwn.Cols)}
 	b0 := rk.c.BytesSent()
-	sres, err := rk.state.SolveOperator(op, n, rk.ranks[n], rk.svd, nil)
+	sres, err := rk.state.SolveOperator(op, n, rk.ranks[n], nil)
 	if err != nil {
 		panic(fmt.Sprintf("dist: TRSVD failed in mode %d: %v", n, err))
 	}
@@ -879,16 +872,5 @@ func (o *rowDistOperator) RowDot(a, b []float64) float64 {
 
 func (o *rowDistOperator) GlobalRow(local int) int64 { return o.gids[local] }
 
-// RowGram folds the local Gram block YᵀY of the owned rows with one b²
-// AllReduce — the single collective the randomized solver's CholeskyQR2
-// panel orthonormalization needs per pass, replacing a distributed QR.
-// Ranks owning zero rows contribute a zero block and receive the same
-// replicated Gram as everyone else.
-func (o *rowDistOperator) RowGram(y, g *dense.Matrix) {
-	dense.MatMulTAInto(g, y, y, 1)
-	copy(g.Data, o.c.AllReduceSum(g.Data))
-}
-
 var _ trsvd.Operator = (*rowDistOperator)(nil)
 var _ trsvd.GlobalRowIDer = (*rowDistOperator)(nil)
-var _ trsvd.RowGramer = (*rowDistOperator)(nil)

@@ -5,36 +5,37 @@ import (
 	"sync"
 	"testing"
 
-	"hypertensor/internal/core"
 	"hypertensor/internal/gen"
 	"hypertensor/internal/tensor"
 )
 
-// The randomized solver's convergence decisions all run on replicated
-// b×b panels after fixed rank-order reductions, so the fit trajectory
-// must be bitwise identical between the simulated in-process world and
-// a real TCP mesh — including a tensor with a mode smaller than the
-// rank count, where some ranks own zero rows of that matricization and
-// participate in the sketch collectives with empty panels.
+// Under randomized task placement (MethodRandom, both grains) the
+// Lanczos TRSVD's collectives and the sparse expand/fold exchanges see
+// irregular ownership, yet every reduction runs in fixed rank order, so
+// the fit trajectory and factors must be bitwise identical between the
+// simulated in-process world and a real TCP mesh — including a tensor
+// with a mode smaller than the rank count, where some ranks own zero
+// rows of that matricization and take part with empty panels.
 func TestRandomizedTransportBitwise(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		x     *tensor.COO
 		ranks []int
 		p     int
+		g     Grain
 	}{
-		{"3mode", testTensor3(t), []int{4, 3, 3}, 4},
-		{"4mode", testTensor4(t), []int{2, 2, 3, 2}, 2},
+		{"3mode-fine", testTensor3(t), []int{4, 3, 3}, 4, Fine},
+		{"4mode-coarse", testTensor4(t), []int{2, 2, 3, 2}, 2, Coarse},
 		// Mode 2 has 3 rows split across 4 ranks: at least one rank owns
 		// zero rows of Y_(2) and must stay in lockstep through the
-		// RowGram/MatTMat collectives.
-		{"zero-row-rank", gen.Random(gen.Config{Dims: []int{25, 20, 3}, NNZ: 600, Skew: 0.4, Seed: 31}), []int{3, 3, 2}, 4},
+		// Lanczos collectives.
+		{"zero-row-rank", gen.Random(gen.Config{Dims: []int{25, 20, 3}, NNZ: 600, Skew: 0.4, Seed: 31}), []int{3, 3, 2}, 4, Coarse},
 	} {
-		part, err := MakePartition(tc.x, tc.p, Coarse, MethodBlock, 11)
+		part, err := MakePartition(tc.x, tc.p, tc.g, MethodRandom, 11)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		cfg := Config{Ranks: tc.ranks, MaxIters: 3, Tol: -1, Seed: 17, SVD: core.SVDRandomized}
+		cfg := Config{Ranks: tc.ranks, MaxIters: 3, Tol: -1, Seed: 17}
 		sim, err := Decompose(tc.x, part, cfg)
 		if err != nil {
 			t.Fatalf("%s simulated: %v", tc.name, err)

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"hypertensor/internal/gen"
 	"hypertensor/internal/mpi"
+	"hypertensor/internal/tensor"
 )
 
 // tcpWorlds stands up one TCPWorld per rank over loopback, using
@@ -48,21 +50,28 @@ func tcpWorlds(t *testing.T, p int) []*mpi.TCPWorld {
 // TestTransportEquivalence is the transport contract of the PR: the same
 // HOOI run (same tensor, partition, seed) over the simulated in-process
 // world and over a real TCP mesh must produce bitwise-identical fit
-// trajectories, factors, and payload-byte accounting.
+// trajectories, factors, and payload-byte accounting — including a
+// tensor with a mode smaller than the rank count, where some ranks own
+// zero rows of that matricization and still take part in every Lanczos
+// collective.
 func TestTransportEquivalence(t *testing.T) {
-	x := testTensor3(t)
-	ranks := []int{3, 3, 3}
-	cfg := Config{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 17}
-
+	x3 := testTensor3(t)
 	for _, pc := range []struct {
-		p int
-		g Grain
-		m Method
+		x     *tensor.COO
+		ranks []int
+		p     int
+		g     Grain
+		m     Method
 	}{
-		{2, Fine, MethodHypergraph},
-		{4, Fine, MethodHypergraph},
-		{4, Coarse, MethodBlock},
+		{x3, []int{3, 3, 3}, 2, Fine, MethodHypergraph},
+		{x3, []int{3, 3, 3}, 4, Fine, MethodHypergraph},
+		{x3, []int{3, 3, 3}, 4, Coarse, MethodBlock},
+		// zero-row-rank: mode 2 has 3 rows split across 4 ranks, so at
+		// least one rank owns zero rows of Y_(2).
+		{gen.Random(gen.Config{Dims: []int{25, 20, 3}, NNZ: 600, Skew: 0.4, Seed: 31}), []int{3, 3, 2}, 4, Coarse, MethodBlock},
 	} {
+		x := pc.x
+		cfg := Config{Ranks: pc.ranks, MaxIters: 3, Tol: -1, Seed: 17}
 		part, err := MakePartition(x, pc.p, pc.g, pc.m, 11)
 		if err != nil {
 			t.Fatal(err)

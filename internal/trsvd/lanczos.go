@@ -31,10 +31,10 @@ type Options struct {
 	// direction, so re-convergence takes fewer iterations. Ignored when
 	// nil, when the length does not match, or when the seeded direction
 	// is numerically zero (the deterministic random start is used then).
-	// The other solvers ignore it.
+	// Randomized ignores it.
 	WarmLeft []float64
 	// Sketch selects the Randomized solver's sketching operator
-	// (SketchGauss by default). The other solvers ignore it.
+	// (SketchGauss by default). Lanczos ignores it.
 	Sketch SketchKind
 	// Oversample adds extra sketch columns beyond the target rank in the
 	// Randomized solver (0 selects 8). More oversampling buys accuracy

@@ -64,49 +64,16 @@ func (o *DenseOperator) RowDot(a, b []float64) float64 { return dense.DotUnrolle
 func (o *DenseOperator) GlobalRow(local int) int64 { return int64(local) }
 
 // MatMat computes Y = A·W in one BLAS3 pass (register-tiled GEMM)
-// instead of W.Cols separate GEMVs.
+// instead of W.Cols separate GEMVs — the Randomized solver's panel
+// product.
 func (o *DenseOperator) MatMat(w, y *dense.Matrix) { dense.MatMulInto(y, o.A, w, o.Threads) }
 
 // MatTMat computes Z = Aᵀ·Y in one BLAS3 pass with the fixed-block
 // deterministic reduction.
 func (o *DenseOperator) MatTMat(y, z *dense.Matrix) { dense.MatMulTAInto(z, o.A, y, o.Threads) }
 
-// RowGram computes g = YᵀY with the fixed-block deterministic BLAS3
-// reduction — the shared-memory fast path of the RowGramer extension.
-func (o *DenseOperator) RowGram(y, g *dense.Matrix) { dense.MatMulTAInto(g, y, y, o.Threads) }
-
 var _ Operator = (*DenseOperator)(nil)
 var _ GlobalRowIDer = (*DenseOperator)(nil)
-var _ BlockOperator = (*DenseOperator)(nil)
-var _ RowGramer = (*DenseOperator)(nil)
-
-// BlockOperator is an optional Operator extension for applying the
-// operator to a whole panel at once. The blocked solvers
-// (SubspaceIteration, the panel helpers) use it when available — one
-// BLAS3 pass over A per panel instead of one BLAS2 pass per column —
-// and otherwise fall back to a column loop over MatVec/MatTVec, so
-// plain distributed operators keep working unchanged.
-type BlockOperator interface {
-	// MatMat computes Y = A·W with W cols x b (replicated) and Y
-	// LocalRows x b (local).
-	MatMat(w, y *dense.Matrix)
-	// MatTMat computes Z = Aᵀ·Y with Y LocalRows x b (local) and Z
-	// cols x b; distributed implementations reduce Z across ranks so
-	// every rank receives the identical panel.
-	MatTMat(y, z *dense.Matrix)
-}
-
-// RowGramer is an optional Operator extension computing the global Gram
-// matrix g = YᵀY of a local row-space panel (Y LocalRows x b, g b x b)
-// in one pass. Distributed implementations reduce the local Gram across
-// ranks so every rank receives the identical replicated g — the
-// communication primitive the CholeskyQR2 orthonormalization of the
-// Randomized solver is built on (one b² AllReduce replaces a
-// distributed QR). Without the extension the solver falls back to
-// b(b+1)/2 RowDot collectives.
-type RowGramer interface {
-	RowGram(y, g *dense.Matrix)
-}
 
 // opThreads returns the operator's shared-memory thread budget for the
 // solver's own dense work (reorthogonalization sweeps): DenseOperator
@@ -118,54 +85,6 @@ func opThreads(op Operator) int {
 		return d.Threads
 	}
 	return 1
-}
-
-// opMatMat computes y = A·w, through BlockOperator when the operator
-// supports it and by columns otherwise. matvecs is advanced by the
-// column count either way, so solver operation counts stay comparable
-// across operator kinds.
-func opMatMat(op Operator, w, y *dense.Matrix, ws *Workspace, matvecs *int) {
-	*matvecs += w.Cols
-	if b, ok := op.(BlockOperator); ok {
-		b.MatMat(w, y)
-		return
-	}
-	x := dense.ReuseVec(ws.colIn, w.Rows)
-	ws.colIn = x
-	out := dense.ReuseVec(ws.colOut, y.Rows)
-	ws.colOut = out
-	for j := 0; j < w.Cols; j++ {
-		for i := 0; i < w.Rows; i++ {
-			x[i] = w.At(i, j)
-		}
-		op.MatVec(x, out)
-		for i := 0; i < y.Rows; i++ {
-			y.Set(i, j, out[i])
-		}
-	}
-}
-
-// opMatTMat computes z = Aᵀ·y, blocked when possible, by columns
-// otherwise.
-func opMatTMat(op Operator, y, z *dense.Matrix, ws *Workspace, matvecs *int) {
-	*matvecs += y.Cols
-	if b, ok := op.(BlockOperator); ok {
-		b.MatTMat(y, z)
-		return
-	}
-	in := dense.ReuseVec(ws.colOut, y.Rows)
-	ws.colOut = in
-	out := dense.ReuseVec(ws.colIn, z.Rows)
-	ws.colIn = out
-	for j := 0; j < y.Cols; j++ {
-		for i := 0; i < y.Rows; i++ {
-			in[i] = y.At(i, j)
-		}
-		op.MatTVec(in, out)
-		for i := 0; i < z.Rows; i++ {
-			z.Set(i, j, out[i])
-		}
-	}
 }
 
 // hashUnit fills v with deterministic pseudo-random values derived from

@@ -47,9 +47,9 @@ func (o Options) powerIters() int {
 // spectra the first sweep picks the subspace basin every later sweep
 // refines, so an under-resolved cold solve shifts the whole trajectory.
 // Warm streaming solves start next to the answer and only track drift,
-// so they stop earlier. Both comparisons run on replicated values
-// produced by fixed-order reductions, so every thread count, schedule,
-// and transport takes the identical number of iterations.
+// so they stop earlier. Both comparisons run on values produced by
+// fixed-order reductions, so every thread count and schedule takes the
+// identical number of iterations.
 const (
 	ritzTolCold = 1e-8
 	ritzTolWarm = 1e-7
@@ -89,18 +89,19 @@ func maxRelDiffK(a, b []float64, k int) float64 {
 // cap is reached); otherwise the B panel — already the power-iteration
 // input — is CGS2-orthonormalized and pushed back through A. A solve
 // that stops after r rounds costs 2 + 2r block operator passes riding
-// the tiled BLAS3 kernels (via BlockOperator when the operator provides
-// it), against ~2·(2k+10) GEMV passes for Lanczos — the randomized
-// TRSVD path of Minster–Li–Ballard with spectrum-converged adaptivity,
-// on the paper's row-distributed operators.
+// the tiled BLAS3 kernels (DenseOperator.MatMat/MatTMat) — the
+// randomized TRSVD path of Minster–Li–Ballard with spectrum-converged
+// adaptivity. It is the sketch engine behind adaptive rank selection
+// (core.Options.Eps, via EpsRankSelect); fixed-rank HOOI runs Lanczos,
+// which is faster on every benchmark input.
 //
-// Orthonormalization never uses a distributed QR: the local panel is
-// whitened through its small global Gram matrix (G = YᵀY via one
-// fixed-block reduction, C = V·Λ^{-1/2}), applied twice — the
-// CholeskyQR2 discipline — so the basis is orthonormal to machine
-// precision with two b x b eigenproblems as the only serial work. The
-// replicated power-iteration panels are stabilized with the same
-// two-pass classical Gram–Schmidt used by the Lanczos solver.
+// Orthonormalization uses no QR: the panel is whitened through its
+// small Gram matrix (G = YᵀY via one fixed-block reduction,
+// C = V·Λ^{-1/2}), applied twice — the CholeskyQR2 discipline — so the
+// basis is orthonormal to machine precision with two b x b
+// eigenproblems as the only serial work. The power-iteration panels are
+// stabilized with the same two-pass classical Gram–Schmidt used by the
+// Lanczos solver.
 //
 // The streaming single-pass variant (Options.SinglePass) additionally
 // seeds the sketch with the previous solve's right basis and carries
@@ -112,11 +113,11 @@ func maxRelDiffK(a, b []float64, k int) float64 {
 //
 // Everything is deterministic: sketches come from the counter-based
 // GaussHash, panel products use the fixed-block reductions, and all
-// small math (including the iteration-count decisions) runs on
-// replicated matrices — so results are bitwise identical across thread
-// counts, schedules, and distributed transports. All panels live in the
-// workspace; in steady state only the returned Result.U allocates.
-func Randomized(op Operator, k int, opts Options) (*Result, error) {
+// small math (including the iteration-count decisions) runs on b x b
+// matrices — so results are bitwise identical across thread counts and
+// schedules. All panels live in the workspace; in steady state only the
+// returned Result.U allocates.
+func Randomized(op *DenseOperator, k int, opts Options) (*Result, error) {
 	cols := op.Cols()
 	if k <= 0 {
 		return nil, fmt.Errorf("trsvd: k = %d must be positive", k)
@@ -130,10 +131,10 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		b = cols
 	}
 	ws := opts.work()
-	threads := opThreads(op)
+	threads := op.Threads
 	res := &Result{}
 
-	// Sketch W (cols x b, replicated). The streaming variant seeds the
+	// Sketch W (cols x b). The streaming variant seeds the
 	// leading columns with the retained right basis of the previous
 	// solve, so one block pass already lands next to the old subspace;
 	// the remaining columns stay random to catch directions the delta
@@ -154,7 +155,8 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 
 	y := dense.ReuseMatrixUninit(ws.panelY, rows, b)
 	ws.panelY = y
-	opMatMat(op, w, y, ws, &res.MatVecs)
+	op.MatMat(w, y)
+	res.MatVecs += b
 
 	maxPower := opts.powerIters()
 	coeff := dense.ReuseVec(ws.coeff, b)
@@ -184,31 +186,32 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 
 	var lam []float64
 	for it := 0; ; it++ {
-		// CholeskyQR: whiten Y through its small global Gram. One pass
+		// CholeskyQR: whiten Y through its small Gram. One pass
 		// leaves O(κ²·eps) orthogonality error, which would bias the Ritz
 		// energies below and stall the convergence check on slowly
 		// decaying spectra — so a second whitening pass runs whenever the
 		// Gram's condition says the error exceeds the noise the check can
 		// absorb. Well-conditioned rounds (the common warm case) keep the
 		// single cheap pass.
-		rowGram(op, y, g, ws)
+		dense.MatMulTAInto(g, y, y, threads)
 		_, cond := ws.svd.GramWhitenInto(c1, g)
 		dense.MatMulInto(q, y, c1, threads)
 		y, q = q, y
 		ws.panelY, ws.qpanel = y, q
 		if cond > whitenCond {
-			rowGram(op, y, g, ws)
+			dense.MatMulTAInto(g, y, y, threads)
 			ws.svd.GramWhitenInto(c2, g)
 			dense.MatMulInto(q, y, c2, threads)
 			y, q = q, y
 			ws.panelY, ws.qpanel = y, q
 		}
 
-		// Projection pass B = AᵀQ (replicated). The eigenvalues of the
+		// Projection pass B = AᵀQ. The eigenvalues of the
 		// tiny b x b Gram BᵀB are the captured Ritz energies λ_j = σ_j² —
 		// exactly the quantities the HOOI fit is made of — so the
 		// convergence check costs no operator pass and no large SVD.
-		opMatTMat(op, y, bm, ws, &res.MatVecs)
+		op.MatTMat(y, bm)
+		res.MatVecs += b
 		dense.MatMulTAInto(g2, bm, bm, threads)
 		_, lam, _ = ws.svd.SVD(g2)
 		tol := ritzTolWarm
@@ -233,7 +236,8 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 		orthRowsCGS2(t, coeff, threads)
 		z := dense.TransposeInto(ws.panelZ, t)
 		ws.panelZ = z
-		opMatMat(op, z, y, ws, &res.MatVecs)
+		op.MatMat(z, y)
+		res.MatVecs += b
 	}
 	// Retain the Ritz energies for the next streaming solve's first
 	// check (before the SVD calls below recycle lam's backing array).
@@ -246,7 +250,7 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 	// so the repair costs no operator pass. The SVD of T yields the
 	// sketched spectrum and, through V, the right basis retained for the
 	// next streaming solve.
-	rowGram(op, y, g, ws)
+	dense.MatMulTAInto(g, y, y, threads)
 	ws.svd.GramWhitenInto(c2, g)
 	dense.MatMulInto(q, y, c2, threads)
 	y, q = q, y
@@ -300,8 +304,8 @@ func Randomized(op Operator, k int, opts Options) (*Result, error) {
 
 // fillSketch writes the sketch entries of columns [from, b) — the
 // columns not already seeded from a previous basis. Entries are pure
-// functions of (seed, row, column), so the sketch is identical on every
-// rank, thread count, and transport.
+// functions of (seed, row, column), so the sketch is identical for
+// every thread count and schedule.
 func fillSketch(w *dense.Matrix, from int, kind SketchKind, seed int64) {
 	cols, b := w.Rows, w.Cols
 	if from >= b {
@@ -366,28 +370,6 @@ func orthRowsCGS2(t *dense.Matrix, coeff []float64, threads int) {
 			dense.Scal(1/nrm, v)
 		} else {
 			zero(v)
-		}
-	}
-}
-
-// rowGram computes the global Gram matrix g = YᵀY of a local row-space
-// panel: through the operator's RowGramer extension when available (one
-// fixed-block reduction — one AllReduce in the distributed case), and
-// otherwise through b(b+1)/2 RowDot collectives over the transposed
-// panel. Every rank receives the identical replicated g either way.
-func rowGram(op Operator, y, g *dense.Matrix, ws *Workspace) {
-	if rg, ok := op.(RowGramer); ok {
-		rg.RowGram(y, g)
-		return
-	}
-	bt := dense.TransposeInto(ws.bt, y)
-	ws.bt = bt
-	for a := 0; a < y.Cols; a++ {
-		ra := bt.Row(a)
-		for c := a; c < y.Cols; c++ {
-			d := op.RowDot(ra, bt.Row(c))
-			g.Set(a, c, d)
-			g.Set(c, a, d)
 		}
 	}
 }

@@ -155,28 +155,6 @@ func TestRandomizedCountSketch(t *testing.T) {
 	}
 }
 
-// The column-loop and RowDot fallbacks (operators without the
-// BlockOperator / RowGramer extensions) must agree with the blocked path
-// to rounding, with identical operation counts.
-func TestRandomizedBlockVsColumnFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	a := dense.RandomNormal(60, 12, rng)
-	op := &DenseOperator{A: a, Threads: 1}
-	blockRes, err := Randomized(op, 4, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	colRes, err := Randomized(hideBlock{op}, 4, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range blockRes.Sigma {
-		if d := math.Abs(blockRes.Sigma[i] - colRes.Sigma[i]); d > 1e-8*(1+blockRes.Sigma[0]) {
-			t.Fatalf("sigma[%d]: block %v vs fallback %v", i, blockRes.Sigma[i], colRes.Sigma[i])
-		}
-	}
-}
-
 // The streaming single-pass solve must agree with a cold two-pass solve
 // when the operator has not moved, and must cost fewer operator passes.
 func TestRandomizedSinglePassAgreesWithTwoPass(t *testing.T) {

@@ -26,24 +26,22 @@ type Workspace struct {
 	vecRows       []float64
 	vecCols       []float64
 
-	// Block panels (subspace iteration, operator fallbacks, Gram).
-	panelW, panelW2 *dense.Matrix
-	panelY, panelZ  *dense.Matrix
-	gram, vk, bt    *dense.Matrix
-	colIn, colOut   []float64
-
 	// Small vectors shared by ritz extraction and basis completion.
-	col, other, sig, prevSig []float64
+	col, other []float64
 
-	// Randomized sketch solver: the transposed replicated panel the CGS2
-	// orthonormalization streams over, the projected B = AᵀQ panel, the
-	// two Gram-whitening combinations and their product, the local
-	// whitened panel, and the persisted right singular basis that seeds
-	// the next single-pass (streaming) sketch.
-	sketchT, panelB *dense.Matrix
-	white, white2   *dense.Matrix
-	qpanel, gram2   *dense.Matrix
-	vPrev           *dense.Matrix
+	// Randomized sketch solver: the sketch, the sketched range, the
+	// power-iteration panel, the b x b Gram, the leading projected left
+	// vectors, the transposed panel the CGS2 orthonormalization streams
+	// over, the projected B = AᵀQ panel, the two Gram-whitening
+	// combinations and their product, the whitened panel, and the
+	// persisted right singular basis that seeds the next single-pass
+	// (streaming) sketch.
+	panelW, panelY, panelZ *dense.Matrix
+	gram, vk               *dense.Matrix
+	sketchT, panelB        *dense.Matrix
+	white, white2          *dense.Matrix
+	qpanel, gram2          *dense.Matrix
+	vPrev                  *dense.Matrix
 	// sigStream carries the previous solve's top-k Ritz energies between
 	// streaming solves: the first convergence check of a warm solve
 	// compares against it, ending the solve single-pass once the

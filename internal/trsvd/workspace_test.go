@@ -8,17 +8,6 @@ import (
 	"hypertensor/internal/dense"
 )
 
-// hideBlock wraps an Operator so the solvers cannot see its
-// BlockOperator extension, forcing the column-loop fallback of
-// opMatMat/opMatTMat.
-type hideBlock struct{ op Operator }
-
-func (h hideBlock) LocalRows() int                { return h.op.LocalRows() }
-func (h hideBlock) Cols() int                     { return h.op.Cols() }
-func (h hideBlock) MatVec(x, y []float64)         { h.op.MatVec(x, y) }
-func (h hideBlock) MatTVec(y, x []float64)        { h.op.MatTVec(y, x) }
-func (h hideBlock) RowDot(a, b []float64) float64 { return h.op.RowDot(a, b) }
-
 // A reused workspace must not change solver results: run twice with the
 // same warm workspace and compare bitwise against a fresh-workspace
 // run, alternating between two different operators so stale buffer
@@ -35,11 +24,8 @@ func TestWorkspaceReuseBitwiseIdentical(t *testing.T) {
 		{"lanczos", func(m *dense.Matrix, opts Options) (*Result, error) {
 			return Lanczos(&DenseOperator{A: m, Threads: 1}, 5, opts)
 		}},
-		{"subspace", func(m *dense.Matrix, opts Options) (*Result, error) {
-			return SubspaceIteration(&DenseOperator{A: m, Threads: 1}, 5, opts)
-		}},
-		{"gram", func(m *dense.Matrix, opts Options) (*Result, error) {
-			return GramSVD(m, 5, 1, opts)
+		{"randomized", func(m *dense.Matrix, opts Options) (*Result, error) {
+			return Randomized(&DenseOperator{A: m, Threads: 1}, 5, opts)
 		}},
 	}
 	for _, s := range solvers {
@@ -76,30 +62,27 @@ func matEqualBits(a, b *dense.Matrix) bool {
 	return true
 }
 
-// GramSVD completes rank-deficient bases with the caller's seed: the
+// Randomized completes rank-deficient bases with the caller's seed: the
 // same seed must reproduce the basis bit for bit, a different seed must
 // complete the null directions differently, and the healthy leading
 // directions must not depend on the seed at all.
-func TestGramSVDSeedReproducibleCompletion(t *testing.T) {
+func TestRandomizedSeedReproducibleCompletion(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	// Rank-2 matrix, ask for 4 vectors: two columns need completion.
 	u := dense.RandomNormal(40, 2, rng)
 	v := dense.RandomNormal(6, 2, rng)
 	a := dense.MatMulTB(u, v, 1)
-	r1, err := GramSVD(a, 4, 1, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+	solve := func(seed int64) *Result {
+		t.Helper()
+		r, err := Randomized(&DenseOperator{A: a, Threads: 1}, 4, Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	r2, err := GramSVD(a, 4, 1, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, r2, r3 := solve(5), solve(5), solve(6)
 	if !matEqualBits(r1.U, r2.U) {
 		t.Fatal("same seed produced different completed bases")
-	}
-	r3, err := GramSVD(a, 4, 1, Options{Seed: 6})
-	if err != nil {
-		t.Fatal(err)
 	}
 	same := true
 	for i := 0; i < r1.U.Rows; i++ {
@@ -126,31 +109,6 @@ func TestGramSVDSeedReproducibleCompletion(t *testing.T) {
 	g := dense.MatMulTA(r1.U, r1.U, 1)
 	if !g.Equal(dense.Identity(4), 1e-8) {
 		t.Fatal("completed basis not orthonormal")
-	}
-}
-
-// The block-operator path and the column-loop fallback must agree (to
-// rounding — their accumulation orders differ) so distributed
-// operators without MatMat/MatTMat keep working.
-func TestSubspaceBlockVsColumnFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	a := dense.RandomNormal(60, 12, rng)
-	op := &DenseOperator{A: a, Threads: 1}
-	blockRes, err := SubspaceIteration(op, 4, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	colRes, err := SubspaceIteration(hideBlock{op}, 4, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range blockRes.Sigma {
-		if d := math.Abs(blockRes.Sigma[i] - colRes.Sigma[i]); d > 1e-8*(1+blockRes.Sigma[0]) {
-			t.Fatalf("sigma[%d]: block %v vs fallback %v", i, blockRes.Sigma[i], colRes.Sigma[i])
-		}
-	}
-	if blockRes.MatVecs != colRes.MatVecs {
-		t.Fatalf("operation counts diverge: block %d vs fallback %d", blockRes.MatVecs, colRes.MatVecs)
 	}
 }
 

@@ -51,7 +51,7 @@ func BenchmarkScalingSweep(b *testing.B) {
 	o := benchOpts()
 	o.Reps = 1
 	for i := 0; i < b.N; i++ {
-		rep, err := bench.Scaling(o, ScheduleBalanced, io.Discard)
+		rep, err := bench.Scaling(o, io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -56,7 +56,6 @@ import (
 	"hypertensor"
 	"hypertensor/internal/dist"
 	"hypertensor/internal/mpi"
-	"hypertensor/internal/par"
 )
 
 func main() {
@@ -66,7 +65,6 @@ func main() {
 		iters   = flag.Int("iters", 20, "maximum ALS sweeps")
 		tol     = flag.Float64("tol", 1e-5, "fit-change stopping tolerance (negative disables)")
 		threads = flag.Int("threads", 0, "shared-memory threads (0 = GOMAXPROCS)")
-		sched   = flag.String("schedule", "balanced", "parallel loop schedule: balanced | dynamic | static")
 		algo    = flag.String("algo", "hooi", "algorithm: hooi | sthosvd | sthosvd+hooi")
 		initM   = flag.String("init", "random", "factor initialization: random | hosvd")
 		eps     = flag.Float64("eps", 0, "adaptive-rank relative error target in (0,1]; selects per-mode ranks from the sketched spectrum (-ranks becomes an optional cap)")
@@ -182,17 +180,12 @@ func main() {
 		fail(fmt.Errorf("unknown algo %q", *algo))
 	}
 
-	schedule, err := par.ParseSchedule(*sched)
-	if err != nil {
-		fail(err)
-	}
 	opts := hypertensor.Options{
 		Ranks:    ranks,
 		Eps:      *eps,
 		MaxIters: *iters,
 		Tol:      *tol,
 		Threads:  *threads,
-		Schedule: schedule,
 		Seed:     *seed,
 		Initial:  warmStart,
 	}
@@ -278,7 +271,7 @@ func main() {
 		dec.AllocsPerSweep)
 	fmt.Printf("storage: coo index=%d B (%.2f B/nnz)\n",
 		dec.IndexBytes, float64(dec.IndexBytes)/float64(x.NNZ()))
-	fmt.Printf("ttmc: strategy=%s schedule=%s flops=%d", *ttmc, schedule, dec.TTMcFlops)
+	fmt.Printf("ttmc: strategy=%s flops=%d", *ttmc, dec.TTMcFlops)
 	if *ttmc == "dtree" {
 		fmt.Printf(" (node recompute time %v)", dec.Timings.TTMcNodes)
 	}

@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"hypertensor/internal/bench"
-	"hypertensor/internal/par"
 )
 
 func main() {
@@ -34,7 +33,6 @@ func main() {
 		scaling = flag.Bool("scaling", false, "run the thread-scaling sweep (per-thread speedup table)")
 		comm    = flag.Bool("comm", false, "run the comm-volume table: modeled hypergraph cut vs realized sparse-exchange bytes per partition method at p=2,4")
 		chaos   = flag.Bool("chaos", false, "run the fault-injection experiment: seed-swept transport faults plus a kill-and-recover checkpoint demonstration")
-		schedIn = flag.String("sched", "balanced", "scaling sweep schedule: balanced | dynamic | static")
 		jsonOut = flag.String("json", "", "write the scaling report as machine-readable JSON to this path")
 		basePth = flag.String("baseline", "", "compare the scaling report against this baseline JSON; exit 1 on regression")
 		reps    = flag.Int("reps", 3, "scaling sweep repetitions per measurement (fastest kept)")
@@ -85,11 +83,7 @@ func main() {
 	}
 
 	runScaling := func() {
-		sched, err := par.ParseSchedule(*schedIn)
-		if err != nil {
-			fail(err)
-		}
-		rep, err := bench.Scaling(o, sched, out)
+		rep, err := bench.Scaling(o, out)
 		if err != nil {
 			fail(err)
 		}

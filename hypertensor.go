@@ -78,9 +78,6 @@ type (
 	// TTMcStrategy selects the TTMc evaluation path (TTMcFlat,
 	// TTMcDTree).
 	TTMcStrategy = core.TTMcStrategy
-	// Schedule selects the parallel loop scheduling discipline
-	// (ScheduleBalanced, ScheduleDynamic, ScheduleStatic).
-	Schedule = core.Schedule
 	// Partition is a distributed task assignment (rows and, for fine
 	// grain, nonzeros) for P ranks.
 	Partition = dist.Partition
@@ -143,10 +140,6 @@ const (
 
 	TTMcFlat  = core.TTMcFlat
 	TTMcDTree = core.TTMcDTree
-
-	ScheduleBalanced = core.ScheduleBalanced
-	ScheduleDynamic  = core.ScheduleDynamic
-	ScheduleStatic   = core.ScheduleStatic
 
 	CoarseGrain = dist.Coarse
 	FineGrain   = dist.Fine

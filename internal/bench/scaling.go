@@ -17,7 +17,6 @@ import (
 	"hypertensor/internal/dist"
 	"hypertensor/internal/gen"
 	"hypertensor/internal/mpi"
-	"hypertensor/internal/par"
 	"hypertensor/internal/tensor"
 )
 
@@ -122,7 +121,6 @@ type ScalingReport struct {
 	GOMAXPROCS int          `json:"gomaxprocs"`
 	Scale      float64      `json:"scale"`
 	Iters      int          `json:"iters"`
-	Schedule   string       `json:"schedule"`
 	Rows       []ScalingRow `json:"rows"`
 }
 
@@ -197,13 +195,12 @@ func cpuModel() string {
 }
 
 // Scaling runs the shared-memory thread-scaling sweep on every preset
-// dataset with the given schedule: one HOOI measurement per thread
-// count with the default flat TTMc, reporting seconds and speedup per sweep,
-// the TTMc share, the machine-independent madds-per-sweep count, and
-// whether the fit trajectory stayed bitwise identical across the whole
-// thread sweep (it must, for the static and balanced schedules — that
-// is the determinism contract of the runtime).
-func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error) {
+// dataset: one HOOI measurement per thread count with the default flat
+// TTMc, reporting seconds and speedup per sweep, the TTMc share, the
+// machine-independent madds-per-sweep count, and whether the fit
+// trajectory stayed bitwise identical across the whole thread sweep (it
+// must — that is the determinism contract of the runtime).
+func Scaling(o Options, w io.Writer) (*ScalingReport, error) {
 	o = o.withDefaults()
 	rep := &ScalingReport{
 		Schema:     scalingSchema,
@@ -211,11 +208,9 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Scale:      o.Scale,
 		Iters:      o.Iters,
-		Schedule:   sched.String(),
 	}
 	t := &Table{
-		Title: fmt.Sprintf("Thread scaling: seconds/sweep, schedule=%s (host %s)",
-			sched, rep.Host),
+		Title:   fmt.Sprintf("Thread scaling: seconds/sweep (host %s)", rep.Host),
 		Headers: []string{"Tensor", "#threads", "s/sweep", "ttmc s", "trsvd s", "speedup", "madds/sweep", "allocs/sweep", "upd sweeps", "upd madds", "fit-invariant"},
 	}
 	for _, name := range []string{"netflix", "nell", "delicious", "flickr"} {
@@ -238,7 +233,6 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 					MaxIters:      o.Iters,
 					Tol:           -1,
 					Threads:       th,
-					Schedule:      sched,
 					Seed:          o.Seed + 31,
 					MeasureAllocs: th == 1,
 				})
@@ -279,7 +273,7 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 				}
 			}
 		}
-		row.UpdateSweeps, row.UpdateMadds, err = measureUpdate(x, ranks, sched, o.Seed)
+		row.UpdateSweeps, row.UpdateMadds, err = measureUpdate(x, ranks, o.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s update: %w", name, err)
 		}
@@ -294,7 +288,7 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 		if err != nil {
 			return nil, fmt.Errorf("%s solver comparison: %w", name, err)
 		}
-		row.Checkpoint, err = measureCheckpoint(x, ranks, sched, o.Iters, o.Reps, maxInt(o.Threads), o.Seed+31)
+		row.Checkpoint, err = measureCheckpoint(x, ranks, o.Iters, o.Reps, maxInt(o.Threads), o.Seed+31)
 		if err != nil {
 			return nil, fmt.Errorf("%s checkpoint: %w", name, err)
 		}
@@ -360,10 +354,9 @@ func Scaling(o Options, sched par.Schedule, w io.Writer) (*ScalingReport, error)
 // ranks, and sweep count. The restored engine must reproduce the
 // original result bitwise, so the cell also acts as a round-trip
 // correctness check inside the bench sweep.
-func measureCheckpoint(x *tensor.COO, ranks []int, sched par.Schedule, iters, reps, threads int, seed int64) (*CheckpointCell, error) {
+func measureCheckpoint(x *tensor.COO, ranks []int, iters, reps, threads int, seed int64) (*CheckpointCell, error) {
 	opts := core.Options{
-		Ranks: ranks, MaxIters: iters, Tol: -1, Threads: threads,
-		Schedule: sched, Seed: seed,
+		Ranks: ranks, MaxIters: iters, Tol: -1, Threads: threads, Seed: seed,
 	}
 	p, err := core.NewPlan(x, opts)
 	if err != nil {
@@ -542,10 +535,10 @@ func distSolveTCP(x *tensor.COO, part *dist.Partition, ranks []int, np, iters in
 // Single-threaded — the update path is bitwise thread-invariant, so one
 // cell suffices — with a convergence tolerance, so the sweep count
 // reflects the warm start instead of a fixed iteration budget.
-func measureUpdate(x *tensor.COO, ranks []int, sched par.Schedule, seed int64) (int, int64, error) {
+func measureUpdate(x *tensor.COO, ranks []int, seed int64) (int, int64, error) {
 	opts := core.Options{
 		Ranks: ranks, MaxIters: 30, Tol: 1e-9, Threads: 1,
-		Schedule: sched, TTMc: core.TTMcDTree, Seed: seed + 31,
+		TTMc: core.TTMcDTree, Seed: seed + 31,
 	}
 	p, err := core.NewPlan(x, opts)
 	if err != nil {
@@ -616,15 +609,15 @@ func ReadScalingReport(path string) (*ScalingReport, error) {
 //     because one synthetic dataset's sorted nonzero order gives block
 //     placement near-optimal locality; see the gate's comment).
 //
-// The configurations (scale, iters, schedule, schema) must match, so a
+// The configurations (scale, iters, schema) must match, so a
 // CI job cannot silently compare sweeps of different shapes.
 func CompareScaling(base, cur *ScalingReport, tol, timeTol float64, w io.Writer) error {
 	if base.Schema != cur.Schema {
 		return fmt.Errorf("bench: baseline schema %d vs current %d", base.Schema, cur.Schema)
 	}
-	if base.Scale != cur.Scale || base.Iters != cur.Iters || base.Schedule != cur.Schedule {
-		return fmt.Errorf("bench: baseline config (scale=%g iters=%d sched=%s) does not match current (scale=%g iters=%d sched=%s)",
-			base.Scale, base.Iters, base.Schedule, cur.Scale, cur.Iters, cur.Schedule)
+	if base.Scale != cur.Scale || base.Iters != cur.Iters {
+		return fmt.Errorf("bench: baseline config (scale=%g iters=%d) does not match current (scale=%g iters=%d)",
+			base.Scale, base.Iters, cur.Scale, cur.Iters)
 	}
 	timeGate := base.Host == cur.Host
 	if !timeGate {

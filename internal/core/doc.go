@@ -21,5 +21,5 @@
 //     re-converges warm.
 //
 // Decompose is the batch convenience: NewPlan + NewEngine + Run. All
-// paths are bitwise deterministic across thread counts and schedules.
+// paths are bitwise deterministic across thread counts.
 package core

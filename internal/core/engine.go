@@ -85,7 +85,6 @@ func NewEngine(p *Plan) *Engine {
 	start := time.Now()
 	if p.useTree {
 		e.tree = ttm.NewDTree(e.x)
-		e.tree.SetSchedule(e.opts.Schedule)
 	}
 	e.symTime = time.Since(start)
 	e.state = NewSweepState(initFactors(p.x, e.opts, startRanks(p.x, e.opts)), e.opts.Seed)
@@ -293,7 +292,7 @@ func (e *Engine) converge(ctx context.Context) (*Result, error) {
 			if e.tree != nil {
 				e.tree.TTMc(e.ys[n], n, e.state.Factors, opts.Threads)
 			} else {
-				ttm.TTMcSched(e.ys[n], e.x, sm, e.state.Factors, opts.Threads, opts.Schedule)
+				ttm.TTMc(e.ys[n], e.x, sm, e.state.Factors, opts.Threads)
 				e.flatFlops += ttm.Flops(e.x.NNZ(), e.ys[n].Cols)
 			}
 			res.Timings.TTMc += time.Since(t0)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"hypertensor/internal/gen"
@@ -127,42 +129,39 @@ func TestEngineUpdateScale02(t *testing.T) {
 	}
 }
 
-// TestEngineUpdateDeterminism pins the bitwise thread- and schedule-
-// invariance contract of the update path: the re-convergence fit
-// trajectory must be identical for every thread count and every
-// schedule.
+// TestEngineUpdateDeterminism pins the bitwise thread-invariance
+// contract of the update path: the re-convergence fit trajectory must
+// be identical for every thread count.
 func TestEngineUpdateDeterminism(t *testing.T) {
 	x, ranks := presetTensor(t, "flickr", 0.02)
 	delta := gen.Delta(x, 0.01, 0.01, 5)
 	var ref []float64
 	for _, threads := range []int{1, 2, 4, 8} {
-		for _, sched := range []Schedule{ScheduleBalanced, ScheduleDynamic, ScheduleStatic} {
-			opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3,
-				TTMc: TTMcDTree, Threads: threads, Schedule: sched}
-			p, err := NewPlan(x, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e := NewEngine(p)
-			if _, err := e.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			ru, err := e.Update(delta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = ru.FitHistory
-				continue
-			}
-			if len(ru.FitHistory) != len(ref) {
-				t.Fatalf("threads=%d sched=%v: %d sweeps vs %d", threads, sched, len(ru.FitHistory), len(ref))
-			}
-			for i := range ref {
-				if ru.FitHistory[i] != ref[i] {
-					t.Fatalf("threads=%d sched=%v: update fit trajectory diverged at sweep %d (%v vs %v)",
-						threads, sched, i, ru.FitHistory[i], ref[i])
-				}
+		opts := Options{Ranks: ranks, MaxIters: 6, Tol: -1, Seed: 3,
+			TTMc: TTMcDTree, Threads: threads}
+		p, err := NewPlan(x, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := NewEngine(p)
+		if _, err := e.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ru, err := e.Update(delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = ru.FitHistory
+			continue
+		}
+		if len(ru.FitHistory) != len(ref) {
+			t.Fatalf("threads=%d: %d sweeps vs %d", threads, len(ru.FitHistory), len(ref))
+		}
+		for i := range ref {
+			if ru.FitHistory[i] != ref[i] {
+				t.Fatalf("threads=%d: update fit trajectory diverged at sweep %d (%v vs %v)",
+					threads, i, ru.FitHistory[i], ref[i])
 			}
 		}
 	}
@@ -203,6 +202,47 @@ func TestEnginePlanReuse(t *testing.T) {
 	for i := range ra.FitHistory {
 		if ra.FitHistory[i] != rb.FitHistory[i] {
 			t.Fatalf("sibling engines diverged at sweep %d", i)
+		}
+	}
+}
+
+// TestEnginesShareOnePlanConcurrently pins the other half of the
+// ownership contract: engines on one plan may run at the same time.
+// Four engines solve concurrently with multi-threaded flat TTMc (the
+// path that reads the plan's row chains) and must agree bit for bit;
+// under -race any write to plan-owned state shows up as a data race.
+func TestEnginesShareOnePlanConcurrently(t *testing.T) {
+	x, ranks := presetTensor(t, "netflix", 0.02)
+	p, err := NewPlan(x, Options{Ranks: ranks, MaxIters: 3, Tol: -1, Seed: 7, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const engines = 4
+	results := make([]*Result, engines)
+	errs := make([]error, engines)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = NewEngine(p).Run(context.Background())
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("engine %d: %v", i, err)
+		}
+	}
+	ref := results[0]
+	for i, res := range results[1:] {
+		if !slices.Equal(res.FitHistory, ref.FitHistory) {
+			t.Fatalf("engine %d fit history %v, engine 0 %v", i+1, res.FitHistory, ref.FitHistory)
+		}
+		for n, u := range res.Factors {
+			if !slices.Equal(u.Data, ref.Factors[n].Data) {
+				t.Fatalf("engine %d factor %d differs from engine 0", i+1, n)
+			}
 		}
 	}
 }

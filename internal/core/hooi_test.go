@@ -212,6 +212,10 @@ func TestValidateErrors(t *testing.T) {
 		{Ranks: []int{2, 2, 2}, Oversample: 4},
 		{Ranks: []int{2, 2, 2}, PowerIters: 2},
 		{Ranks: []int{2, 2, 2}, PowerIters: -1},
+		// Out-of-range enum values name no path.
+		{Ranks: []int{2, 2, 2}, TTMc: TTMcStrategy(7)},
+		{Ranks: []int{2, 2, 2}, Init: InitMethod(9)},
+		{Eps: 0.5, Sketch: SketchKind(9)},
 	}
 	for i, o := range cases {
 		if _, err := Decompose(x, o); err == nil {

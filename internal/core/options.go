@@ -4,29 +4,14 @@ import (
 	"fmt"
 
 	"hypertensor/internal/dense"
-	"hypertensor/internal/par"
 	"hypertensor/internal/tensor"
 	"hypertensor/internal/trsvd"
 )
 
-// Schedule selects how the parallel kernels distribute their loop
-// iterations across threads; it re-exports par.Schedule. All schedules
-// are owner-computes and produce bitwise-identical results — they
-// differ only in load balance and scheduling overhead.
-type Schedule = par.Schedule
-
-const (
-	// ScheduleBalanced (the default) partitions rows into per-worker
-	// chains of near-equal nonzero weight (prefix-sum chain-on-chain)
-	// and steals chunks for irregular tails. This is the paper's load-balance
-	// discipline: uniform chunking leaves whichever thread owns the
-	// heaviest slices running long after the rest go idle.
-	ScheduleBalanced = par.ScheduleBalanced
-	// ScheduleDynamic is chunked self-scheduling from a shared cursor.
-	ScheduleDynamic = par.ScheduleDynamic
-	// ScheduleStatic is uniform contiguous blocks, one per worker.
-	ScheduleStatic = par.ScheduleStatic
-)
+// ScheduleBalanced names the one loop schedule: weight-balanced row
+// chains with work-stealing, which every parallel TTMc loop runs. It is
+// kept only for the frozen per-layer benchmark (perfbench/layers.go).
+const ScheduleBalanced = 0
 
 // InitMethod selects how the factor matrices are initialized (HOOI
 // Algorithm 1, line 1).
@@ -124,12 +109,9 @@ type Options struct {
 	// exactly MaxIters sweeps), which the paper's benchmarks use.
 	Tol float64
 	// Threads bounds shared-memory parallelism; 0 uses GOMAXPROCS;
-	// negative is an error.
+	// negative is an error. Results are bitwise identical for every
+	// thread count.
 	Threads int
-	// Schedule selects the parallel loop scheduling discipline
-	// (ScheduleBalanced by default). Results are bitwise identical
-	// under every schedule and thread count.
-	Schedule Schedule
 	// Init selects the factor initialization.
 	Init InitMethod
 	// TTMc selects the TTMc evaluation strategy (flat reference path or
@@ -169,6 +151,15 @@ func (o *Options) Validate(x *tensor.COO) error {
 	}
 	if o.Threads < 0 {
 		return fmt.Errorf("core: Threads %d is negative", o.Threads)
+	}
+	if o.TTMc != TTMcFlat && o.TTMc != TTMcDTree {
+		return fmt.Errorf("core: unknown TTMc strategy %d", o.TTMc)
+	}
+	if o.Init != InitRandom && o.Init != InitHOSVD {
+		return fmt.Errorf("core: unknown Init method %d", o.Init)
+	}
+	if o.Sketch != SketchGauss && o.Sketch != SketchCount {
+		return fmt.Errorf("core: unknown Sketch kind %d", o.Sketch)
 	}
 	if o.Eps != 0 && !(o.Eps > 0 && o.Eps <= 1) {
 		return fmt.Errorf("core: Eps %v outside (0, 1]", o.Eps)

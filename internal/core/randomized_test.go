@@ -46,43 +46,39 @@ func TestRandomizedFitMatchesLanczos(t *testing.T) {
 }
 
 // The randomized fit trajectory and the chosen ranks must be bitwise
-// identical for every thread count and schedule: the sketch is
-// counter-based, every panel reduction runs on a fixed block grid, and
-// the solver's adaptive iteration counts and rank decisions are made on
-// small b x b matrices.
+// identical for every thread count: the sketch is counter-based, every
+// panel reduction runs on a fixed block grid, and the solver's adaptive
+// iteration counts and rank decisions are made on small b x b matrices.
 func TestRandomizedFitBitwiseAcrossThreadsAndSchedules(t *testing.T) {
 	x, base := epsPreset(t)
 	base.MaxIters = 4
-	for _, sched := range []Schedule{ScheduleStatic, ScheduleBalanced, ScheduleDynamic} {
-		var ref *Result
-		for _, threads := range []int{1, 2, 4, 8} {
-			opts := base
-			opts.Threads, opts.Schedule = threads, sched
-			res, err := Decompose(x, opts)
-			if err != nil {
-				t.Fatalf("sched=%v threads=%d: %v", sched, threads, err)
-			}
-			if ref == nil {
-				for n, r := range res.ChosenRanks {
-					if r < 2 {
-						t.Fatalf("mode %d chose rank %d; the fixture must keep ranks above 1", n, r)
-					}
+	var ref *Result
+	for _, threads := range []int{1, 2, 4, 8} {
+		opts := base
+		opts.Threads = threads
+		res, err := Decompose(x, opts)
+		if err != nil {
+			t.Fatalf("threads=%d: %v", threads, err)
+		}
+		if ref == nil {
+			for n, r := range res.ChosenRanks {
+				if r < 2 {
+					t.Fatalf("mode %d chose rank %d; the fixture must keep ranks above 1", n, r)
 				}
-				ref = res
-				continue
 			}
-			if !slices.Equal(res.ChosenRanks, ref.ChosenRanks) {
-				t.Fatalf("sched=%v threads=%d: chose ranks %v, want %v", sched, threads, res.ChosenRanks, ref.ChosenRanks)
-			}
-			if len(res.FitHistory) != len(ref.FitHistory) {
-				t.Fatalf("sched=%v threads=%d: %d sweeps vs %d",
-					sched, threads, len(res.FitHistory), len(ref.FitHistory))
-			}
-			for i := range ref.FitHistory {
-				if res.FitHistory[i] != ref.FitHistory[i] {
-					t.Fatalf("sched=%v threads=%d: sweep %d fit %v != %v (not bitwise invariant)",
-						sched, threads, i, res.FitHistory[i], ref.FitHistory[i])
-				}
+			ref = res
+			continue
+		}
+		if !slices.Equal(res.ChosenRanks, ref.ChosenRanks) {
+			t.Fatalf("threads=%d: chose ranks %v, want %v", threads, res.ChosenRanks, ref.ChosenRanks)
+		}
+		if len(res.FitHistory) != len(ref.FitHistory) {
+			t.Fatalf("threads=%d: %d sweeps vs %d", threads, len(res.FitHistory), len(ref.FitHistory))
+		}
+		for i := range ref.FitHistory {
+			if res.FitHistory[i] != ref.FitHistory[i] {
+				t.Fatalf("threads=%d: sweep %d fit %v != %v (not bitwise invariant)",
+					threads, i, res.FitHistory[i], ref.FitHistory[i])
 			}
 		}
 	}

@@ -6,7 +6,7 @@
 // decompositions; this package completes that scope. The key kernel,
 // the matricized-tensor-times-Khatri-Rao-product (MTTKRP), is the CP
 // analogue of TTMc and runs on the same symbolic update lists with the
-// same lock-free row-parallel schedule.
+// same lock-free owner-computes row loop.
 package cp
 
 import (

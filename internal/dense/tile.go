@@ -11,7 +11,7 @@ import "sync"
 //     transposed products, Dot's single-chain association for the row
 //     dots) regardless of tile or thread boundaries. Tiling changes
 //     instruction scheduling, never values, so the HOOI fit trajectory
-//     stays bitwise identical for every thread count and schedule.
+//     stays bitwise identical for every thread count.
 //  2. No steady-state allocation: reduction partials and packing
 //     buffers come from a sync.Pool, whose per-P caches effectively pin
 //     a warm buffer to each worker between calls.

@@ -1,13 +1,15 @@
 // Package par is the shared-memory parallel runtime used throughout the
 // library. It stands in for the OpenMP runtime of the paper's C++
 // implementation: For mirrors "#pragma omp parallel for
-// schedule(dynamic)", ForRange/ForWorker the static schedule, and the
+// schedule(dynamic)", ForRange the static schedule, and the
 // Pool/Partition layer adds what OpenMP does not have built in —
 // weight-aware static partitioning (prefix-sum chain-on-chain over
 // per-row nonzero weights) with work-stealing for irregular tails, on
 // a persistent worker pool instead of goroutine-per-region fan-out.
-// SumBlocks and NumReduceBlocks provide parallel reductions whose
-// results are bitwise identical for every thread count.
+// Every owner-computes TTMc row loop runs on those chains
+// (PartitionChains + RunChains). SumBlocks and NumReduceBlocks provide
+// parallel reductions whose results are bitwise identical for every
+// thread count.
 package par
 
 import (
@@ -212,33 +214,10 @@ func ForRange(n, threads int, body func(lo, hi int)) {
 	})
 }
 
-// ForWorker runs body(worker, lo, hi) like ForRange but also passes the
-// worker id, letting callers index per-worker scratch buffers without
-// synchronization.
-func ForWorker(n, threads int, body func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	threads = DefaultThreads(threads)
-	if threads > n {
-		threads = n
-	}
-	if threads <= 1 {
-		body(0, 0, n)
-		return
-	}
-	sharedPool(threads).Run(threads, func(w int) {
-		lo, hi := Split(n, threads, w)
-		if lo < hi {
-			body(w, lo, hi)
-		}
-	})
-}
-
 // ForDynamicWorker combines dynamic chunk scheduling with worker ids:
-// body(worker, lo, hi) is invoked for dynamically claimed chunks. This is
-// the schedule used by the numeric TTMc row loop, where rows have wildly
-// different costs and each worker owns a scratch buffer.
+// body(worker, lo, hi) is invoked for dynamically claimed chunks, so
+// each worker can own a scratch buffer. The CP-ALS MTTKRP and the
+// range finder behind the HOSVD initialization use it.
 func ForDynamicWorker(n, threads, chunk int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return

@@ -50,10 +50,12 @@ func TestForRangeCoversAllIndices(t *testing.T) {
 	}
 }
 
+// Worker ids index per-worker scratch buffers, so they must stay in
+// [0, threads) while the chunks still cover the range exactly.
 func TestForWorkerIDsDistinct(t *testing.T) {
 	const n, threads = 100, 4
 	var used [threads]atomic.Int32
-	ForWorker(n, threads, func(w, lo, hi int) {
+	ForDynamicWorker(n, threads, 0, func(w, lo, hi int) {
 		if w < 0 || w >= threads {
 			t.Errorf("worker id %d out of range", w)
 		}

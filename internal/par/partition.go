@@ -1,59 +1,9 @@
 package par
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 )
-
-// Schedule selects how a parallel loop assigns iterations to workers.
-// All three schedules give every iteration exactly one owner, so kernels
-// that accumulate per-owner state in a fixed order (the owner-computes
-// discipline of the TTMc kernels) produce bitwise-identical results
-// under any schedule and any thread count; the schedules differ only in
-// load balance and scheduling overhead.
-type Schedule int
-
-const (
-	// ScheduleBalanced partitions iterations into per-worker contiguous
-	// chains of near-equal total weight (prefix-sum chain-on-chain over
-	// the caller's weights) and lets workers that drain their chain
-	// early steal chunks from the heaviest remaining chain — static
-	// balance for the bulk, dynamic stealing for irregular tails. It is
-	// the default.
-	ScheduleBalanced Schedule = iota
-	// ScheduleDynamic is chunked self-scheduling from a shared atomic
-	// cursor, ignoring weights (the legacy par.For discipline).
-	ScheduleDynamic
-	// ScheduleStatic assigns uniform contiguous index blocks, one per
-	// worker, ignoring weights.
-	ScheduleStatic
-)
-
-// String spells the schedule the way the CLI flags do.
-func (s Schedule) String() string {
-	switch s {
-	case ScheduleDynamic:
-		return "dynamic"
-	case ScheduleStatic:
-		return "static"
-	default:
-		return "balanced"
-	}
-}
-
-// ParseSchedule parses a -schedule flag value.
-func ParseSchedule(s string) (Schedule, error) {
-	switch s {
-	case "balanced":
-		return ScheduleBalanced, nil
-	case "dynamic":
-		return ScheduleDynamic, nil
-	case "static":
-		return ScheduleStatic, nil
-	}
-	return 0, fmt.Errorf("par: unknown schedule %q (want balanced|dynamic|static)", s)
-}
 
 // PartitionChains splits [0, len(weights)) into parts contiguous chains
 // of near-equal total weight and returns the chain boundaries as a
@@ -67,6 +17,9 @@ func PartitionChains(weights []int64, parts int) []int32 {
 	n := len(weights)
 	if parts < 1 {
 		parts = 1
+	}
+	if parts == 1 {
+		return []int32{0, int32(n)}
 	}
 	bounds := make([]int32, parts+1)
 	prefix := make([]int64, n+1)

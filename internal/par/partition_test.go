@@ -190,18 +190,6 @@ func TestChunkForCapsChunkCount(t *testing.T) {
 	}
 }
 
-func TestParseScheduleRoundTrip(t *testing.T) {
-	for _, s := range []Schedule{ScheduleBalanced, ScheduleDynamic, ScheduleStatic} {
-		got, err := ParseSchedule(s.String())
-		if err != nil || got != s {
-			t.Fatalf("round trip %v: got %v err %v", s, got, err)
-		}
-	}
-	if _, err := ParseSchedule("guided"); err == nil {
-		t.Fatal("ParseSchedule accepted an unknown schedule")
-	}
-}
-
 func TestImbalance(t *testing.T) {
 	if got := Imbalance([]int64{10, 10, 10, 10}); got != 1 {
 		t.Fatalf("uniform imbalance %v", got)

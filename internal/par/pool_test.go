@@ -95,9 +95,10 @@ func TestPoolReuseNoGoroutineLeak(t *testing.T) {
 // grow the goroutine count either.
 func TestSharedPoolLoopsNoLeak(t *testing.T) {
 	x := make([]float64, 4096)
+	chains := PartitionChains(make([]int64, len(x)), 4)
 	run := func() {
 		For(len(x), 4, 0, func(i int) { x[i] = float64(i) })
-		ForWorker(len(x), 4, func(w, lo, hi int) {})
+		RunChains(chains, 4, func(w, lo, hi int) {})
 		ForRange(len(x), 4, func(lo, hi int) {})
 	}
 	run()

@@ -7,10 +7,10 @@ import (
 	"hypertensor/internal/tensor"
 )
 
-// Clone returns a deep copy of the structure (the cached schedule
-// partitions are dropped; they rebuild on first use). A resident engine
-// clones the plan's structure before its first incremental Insert so
-// the plan stays reusable.
+// Clone returns a deep copy of the structure. The row chains are
+// shared, not copied: they are never written in place (Insert replaces
+// them). A resident engine clones the plan's structure before its
+// first incremental Insert so the plan stays reusable.
 func (s *Structure) Clone() *Structure {
 	out := &Structure{Modes: make([]Mode, len(s.Modes))}
 	for n := range s.Modes {
@@ -21,6 +21,9 @@ func (s *Structure) Clone() *Structure {
 			Ptr:  append([]int32(nil), m.Ptr...),
 			NZ:   append([]int32(nil), m.NZ...),
 			Pos:  append([]int32(nil), m.Pos...),
+
+			chains:       m.chains,
+			chainThreads: m.chainThreads,
 		}
 	}
 	return out
@@ -34,8 +37,10 @@ func (s *Structure) Clone() *Structure {
 // existing id, so rows keep the ascending-id order Build produces), and
 // slices that become nonempty are inserted into the row set at their
 // sorted position. The result is identical to rebuilding the structure
-// from the merged tensor — Insert is the O(nnz + delta) splice that
-// avoids the per-mode counting sorts.
+// from the merged tensor, row chains included — Insert is the
+// O(nnz + delta) splice that avoids the per-mode counting sorts. It
+// writes the structure, so it must own it: callers sharing a structure
+// Clone it first.
 //
 // The returned list holds, per mode, the ascending slice indices whose
 // update lists changed. Value-only mutations do not alter the symbolic
@@ -116,7 +121,7 @@ func (s *Structure) Insert(t *tensor.COO, oldNNZ int) ([][]int32, error) {
 			}
 		}
 		if len(tl) > 0 {
-			m.chainBounds = nil // row weights changed; repartition lazily
+			m.buildChains(m.chainThreads) // row weights changed
 		}
 		touched[n] = tl
 	}

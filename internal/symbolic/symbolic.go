@@ -28,9 +28,9 @@ type Mode struct {
 	// multi-million-index modes of the 4-mode datasets.
 	Pos []int32
 
-	// chainBounds caches the balanced chain partition of the rows for
-	// chainThreads workers (see Chains).
-	chainBounds  []int32
+	// chains is the balanced chain partition of the rows for
+	// chainThreads workers, built with the structure (see Chains).
+	chains       []int32
 	chainThreads int
 }
 
@@ -41,7 +41,7 @@ func (m *Mode) NumRows() int { return len(m.Rows) }
 func (m *Mode) RowNZ(r int) []int32 { return m.NZ[m.Ptr[r]:m.Ptr[r+1]] }
 
 // RowWeights returns the per-row nonzero counts — the TTMc cost of each
-// row, which the balanced schedule partitions over.
+// row, which the row chains partition over.
 func (m *Mode) RowWeights() []int64 {
 	w := make([]int64, m.NumRows())
 	for r := range w {
@@ -51,16 +51,23 @@ func (m *Mode) RowWeights() []int64 {
 }
 
 // Chains returns the balanced chain partition of the mode's rows for
-// the given worker count (par.PartitionChains over RowWeights), cached
-// so every HOOI sweep after the first reuses it. Not safe for
-// concurrent callers with different thread counts; the shared-memory
-// HOOI drives one mode at a time.
+// the given worker count (par.PartitionChains over RowWeights). The
+// partition for the thread count the structure was built with is
+// computed once, with the structure, and shared read-only; any other
+// thread count gets a fresh partition per call. Chains never writes to
+// the mode, so concurrent callers are safe.
 func (m *Mode) Chains(threads int) []int32 {
-	if m.chainBounds == nil || m.chainThreads != threads {
-		m.chainBounds = par.PartitionChains(m.RowWeights(), threads)
-		m.chainThreads = threads
+	if threads == m.chainThreads && m.chains != nil {
+		return m.chains
 	}
-	return m.chainBounds
+	return par.PartitionChains(m.RowWeights(), threads)
+}
+
+// buildChains (re)computes the cached row partition for threads
+// workers; it runs only while the mode is being built or spliced.
+func (m *Mode) buildChains(threads int) {
+	m.chains = par.PartitionChains(m.RowWeights(), threads)
+	m.chainThreads = threads
 }
 
 // Structure bundles the per-mode symbolic data for a tensor.
@@ -71,11 +78,16 @@ type Structure struct {
 // Build computes the symbolic TTMc structure for every mode of t. The
 // per-mode constructions are independent and run in parallel (the paper
 // parallelizes exactly this way); each is a counting sort over the
-// mode's index stream (histogram, prefix sum, scatter).
+// mode's index stream (histogram, prefix sum, scatter), followed by the
+// row chains for threads workers (see Mode.Chains). The result is not
+// written again except by Insert, so one structure may back any number
+// of concurrent readers.
 func Build(t *tensor.COO, threads int) *Structure {
+	threads = par.DefaultThreads(threads)
 	s := &Structure{Modes: make([]Mode, t.Order())}
 	par.For(t.Order(), threads, 1, func(n int) {
 		s.Modes[n] = buildMode(t.Idx[n], t.Dims[n], n)
+		s.Modes[n].buildChains(threads)
 	})
 	return s
 }

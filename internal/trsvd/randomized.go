@@ -48,8 +48,8 @@ func (o Options) powerIters() int {
 // refines, so an under-resolved cold solve shifts the whole trajectory.
 // Warm streaming solves start next to the answer and only track drift,
 // so they stop earlier. Both comparisons run on values produced by
-// fixed-order reductions, so every thread count and schedule takes the
-// identical number of iterations.
+// fixed-order reductions, so every thread count takes the identical
+// number of iterations.
 const (
 	ritzTolCold = 1e-8
 	ritzTolWarm = 1e-7
@@ -114,9 +114,9 @@ func maxRelDiffK(a, b []float64, k int) float64 {
 // Everything is deterministic: sketches come from the counter-based
 // GaussHash, panel products use the fixed-block reductions, and all
 // small math (including the iteration-count decisions) runs on b x b
-// matrices — so results are bitwise identical across thread counts and
-// schedules. All panels live in the workspace; in steady state only the
-// returned Result.U allocates.
+// matrices — so results are bitwise identical across thread counts.
+// All panels live in the workspace; in steady state only the returned
+// Result.U allocates.
 func Randomized(op *DenseOperator, k int, opts Options) (*Result, error) {
 	cols := op.Cols()
 	if k <= 0 {
@@ -305,7 +305,7 @@ func Randomized(op *DenseOperator, k int, opts Options) (*Result, error) {
 // fillSketch writes the sketch entries of columns [from, b) — the
 // columns not already seeded from a previous basis. Entries are pure
 // functions of (seed, row, column), so the sketch is identical for
-// every thread count and schedule.
+// every thread count.
 func fillSketch(w *dense.Matrix, from int, kind SketchKind, seed int64) {
 	cols, b := w.Rows, w.Cols
 	if from >= b {

@@ -2,8 +2,8 @@
 // of the paper (eq. 4 / Algorithm 2): for each mode, the matricized
 // tensor is contracted with every other mode's factor matrix, with
 // row-parallel owner-computes numeric execution over the symbolic
-// update lists so results are bitwise deterministic for any thread
-// count and schedule.
+// update lists, on weight-balanced row chains with work-stealing, so
+// results are bitwise deterministic for any thread count.
 //
 // TTMc / TTMcRows are the flat nonzero loop over the COO index
 // streams, built on the fused Kronecker row kernels (kron.go).

@@ -47,15 +47,12 @@ type DTree struct {
 	// nodeTime accumulates wall time spent recomputing internal nodes
 	// (the memoized share of TTMc); leaf emission is the remainder.
 	nodeTime time.Duration
-	// sched is the scheduling discipline of the node-recompute loops.
-	sched par.Schedule
 }
 
-// SetSchedule selects the scheduling discipline for subsequent TTMc
-// calls: balanced (weight-aware chains over each node's per-entry group
-// sizes, with stealing — the default), dynamic, or static. Results are
-// bitwise identical under every schedule.
-func (t *DTree) SetSchedule(s par.Schedule) { t.sched = s }
+// SetSchedule does nothing: every node recompute runs on balanced
+// chains. It is kept only for the frozen per-layer benchmark
+// (perfbench/layers.go).
+func (t *DTree) SetSchedule(int) {}
 
 // dnode is one tree node.
 type dnode struct {
@@ -91,7 +88,7 @@ type dnode struct {
 
 // chains returns (building on first use) the balanced chain partition
 // of the node's entries, weighted by each entry's update-list length —
-// the precomputed partition the balanced recompute loop runs on.
+// the partition the recompute loops run on.
 func (nd *dnode) chains(threads int) []int32 {
 	if nd.bounds == nil || nd.boundsThreads != threads {
 		w := make([]int64, nd.n)
@@ -368,7 +365,7 @@ func (t *DTree) contract(nd *dnode, dst []float64, rows []int32, u []*dense.Matr
 		// range), ascending.
 		kr := newKron(t.x, u, nd.lo, nd.hi)
 		scs := make([]kronScratch, threads)
-		runRows(t.sched, nRows, threads, chainsFn, func(w, lo, hi int) {
+		runRows(nRows, threads, chainsFn, func(w, lo, hi int) {
 			sc := kr.scratch(scs, w)
 			for j := lo; j < hi; j++ {
 				g := entry(j)
@@ -407,7 +404,7 @@ func (t *DTree) contract(nd *dnode, dst []float64, rows []int32, u []*dense.Matr
 		kron []float64
 	}
 	scratches := make([]*scratch, threads)
-	runRows(t.sched, nRows, threads, chainsFn, func(w, lo, hi int) {
+	runRows(nRows, threads, chainsFn, func(w, lo, hi int) {
 		sc := scratches[w]
 		if sc == nil {
 			sc = &scratch{rows: make([][]float64, nDrop), kron: make([]float64, d)}

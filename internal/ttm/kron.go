@@ -91,7 +91,7 @@ func kronScratchLen(lens []int) int {
 // bufA and bufB must hold kronScratchLen of the row lengths. A zero
 // coefficient (x·a[p] for k <= 3, a prefix entry for k >= 4) skips its
 // block. The operation order depends only on the row lengths, so a
-// result is bitwise identical for every thread count and schedule.
+// result is bitwise identical for every thread count.
 func accumKron(dst []float64, x float64, rows [][]float64, bufA, bufB []float64) {
 	switch len(rows) {
 	case 0:

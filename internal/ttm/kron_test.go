@@ -8,7 +8,6 @@ import (
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/gen"
-	"hypertensor/internal/par"
 	"hypertensor/internal/symbolic"
 )
 
@@ -121,7 +120,7 @@ func benchSweepTTMc(b *testing.B, dims []int, nnz int, skew float64, rank int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for n := range ys {
-			TTMcSched(ys[n], x, &sym.Modes[n], u, 1, par.ScheduleBalanced)
+			TTMc(ys[n], x, &sym.Modes[n], u, 1)
 		}
 	}
 	b.ReportMetric(float64(madds)*float64(b.N)/b.Elapsed().Seconds()/1e9, "Gmadd/s")

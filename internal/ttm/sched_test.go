@@ -7,9 +7,8 @@ import (
 
 	"hypertensor/internal/dense"
 	"hypertensor/internal/par"
+	"hypertensor/internal/symbolic"
 )
-
-var allSchedules = []par.Schedule{par.ScheduleBalanced, par.ScheduleDynamic, par.ScheduleStatic}
 
 // schedSetups are the flat-kernel determinism fixtures: a 3-mode
 // tensor (every mode contracts two rows, the fused k=2 kernel) and a
@@ -23,9 +22,9 @@ var schedSetups = []struct {
 	{[]int{18, 14, 11, 9}, []int{2, 7, 6, 1}, 900},
 }
 
-// Every schedule and thread count must produce the bitwise-identical
-// flat TTMc result: the schedules move row ownership between workers,
-// never the per-row accumulation order.
+// Every thread count must produce the bitwise-identical flat TTMc
+// result: the balanced chains and their stealing move row ownership
+// between workers, never the per-row accumulation order.
 func TestTTMcSchedBitwiseEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, su := range schedSetups {
@@ -34,15 +33,13 @@ func TestTTMcSchedBitwiseEquivalent(t *testing.T) {
 			sm := &sym.Modes[mode]
 			ref := dense.NewMatrix(sm.NumRows(), RowSize(u, mode))
 			TTMc(ref, x, sm, u, 1)
-			for _, sched := range allSchedules {
-				for _, threads := range []int{1, 2, 4, 8} {
-					y := dense.NewMatrix(sm.NumRows(), RowSize(u, mode))
-					TTMcSched(y, x, sm, u, threads, sched)
-					for i := range ref.Data {
-						if y.Data[i] != ref.Data[i] {
-							t.Fatalf("order=%d mode=%d sched=%v threads=%d: bit difference at %d",
-								x.Order(), mode, sched, threads, i)
-						}
+			for _, threads := range []int{1, 2, 4, 8} {
+				y := dense.NewMatrix(sm.NumRows(), RowSize(u, mode))
+				TTMc(y, x, sm, u, threads)
+				for i := range ref.Data {
+					if y.Data[i] != ref.Data[i] {
+						t.Fatalf("order=%d mode=%d threads=%d: bit difference at %d",
+							x.Order(), mode, threads, i)
 					}
 				}
 			}
@@ -70,15 +67,13 @@ func TestTTMcRowsSchedBitwiseEquivalent(t *testing.T) {
 					t.Fatalf("order=%d mode=%d: subset row %d differs from full row %d", x.Order(), mode, j, r)
 				}
 			}
-			for _, sched := range allSchedules {
-				for _, threads := range []int{1, 2, 4, 8} {
-					y := dense.NewMatrix(len(rows), RowSize(u, mode))
-					TTMcRowsSched(y, x, sm, rows, u, threads, sched)
-					for i := range ref.Data {
-						if y.Data[i] != ref.Data[i] {
-							t.Fatalf("order=%d mode=%d sched=%v threads=%d: bit difference at %d",
-								x.Order(), mode, sched, threads, i)
-						}
+			for _, threads := range []int{1, 2, 4, 8} {
+				y := dense.NewMatrix(len(rows), RowSize(u, mode))
+				TTMcRows(y, x, sm, rows, u, threads)
+				for i := range ref.Data {
+					if y.Data[i] != ref.Data[i] {
+						t.Fatalf("order=%d mode=%d threads=%d: bit difference at %d",
+							x.Order(), mode, threads, i)
 					}
 				}
 			}
@@ -91,47 +86,51 @@ func TestDTreeSchedBitwiseEquivalent(t *testing.T) {
 	x, u, _ := randomSetup(rng, []int{12, 9, 7, 5}, []int{3, 2, 2, 3}, 400)
 	want := make([]*dense.Matrix, x.Order())
 	refTree := NewDTree(x)
-	refTree.SetSchedule(par.ScheduleDynamic)
 	for mode := 0; mode < x.Order(); mode++ {
 		want[mode] = dense.NewMatrix(refTree.NumRows(mode), RowSize(u, mode))
 		refTree.TTMc(want[mode], mode, u, 1)
 		refTree.Invalidate(mode)
 	}
-	for _, sched := range allSchedules {
-		for _, threads := range []int{1, 3, 8} {
-			tree := NewDTree(x)
-			tree.SetSchedule(sched)
-			for mode := 0; mode < x.Order(); mode++ {
-				y := dense.NewMatrix(tree.NumRows(mode), RowSize(u, mode))
-				tree.TTMc(y, mode, u, threads)
-				tree.Invalidate(mode)
-				for i := range want[mode].Data {
-					if y.Data[i] != want[mode].Data[i] {
-						t.Fatalf("sched=%v threads=%d mode=%d: bit difference at %d",
-							sched, threads, mode, i)
-					}
+	for _, threads := range []int{1, 3, 8} {
+		tree := NewDTree(x)
+		for mode := 0; mode < x.Order(); mode++ {
+			y := dense.NewMatrix(tree.NumRows(mode), RowSize(u, mode))
+			tree.TTMc(y, mode, u, threads)
+			tree.Invalidate(mode)
+			for i := range want[mode].Data {
+				if y.Data[i] != want[mode].Data[i] {
+					t.Fatalf("threads=%d mode=%d: bit difference at %d", threads, mode, i)
 				}
 			}
 		}
 	}
 }
 
-// The balanced schedule's partition cached on the symbolic mode must
-// survive thread-count changes (rebuild) without changing results.
+// The row chains are built with the symbolic structure for its thread
+// count and served read-only from there; any other thread count gets a
+// fresh partition per call. Neither path may change results.
 func TestTTMcPartitionCacheAcrossThreadCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	x, u, sym := randomSetup(rng, []int{20, 15, 10}, []int{3, 3, 3}, 500)
+	x, u, _ := randomSetup(rng, []int{20, 15, 10}, []int{3, 3, 3}, 500)
+	sym := symbolic.Build(x, 2)
 	sm := &sym.Modes[1]
+	built := sm.Chains(2)
+	if !slices.Equal(built, par.PartitionChains(sm.RowWeights(), 2)) {
+		t.Fatalf("built chains %v are not the balanced partition", built)
+	}
 	ref := dense.NewMatrix(sm.NumRows(), RowSize(u, sm.N))
-	TTMcSched(ref, x, sm, u, 2, par.ScheduleBalanced)
+	TTMc(ref, x, sm, u, 1)
 	for _, threads := range []int{4, 2, 8, 2} {
 		y := dense.NewMatrix(sm.NumRows(), RowSize(u, sm.N))
-		TTMcSched(y, x, sm, u, threads, par.ScheduleBalanced)
+		TTMc(y, x, sm, u, threads)
 		if !slices.Equal(y.Data, ref.Data) {
-			t.Fatalf("threads=%d: cached partition broke results", threads)
+			t.Fatalf("threads=%d: chain partition broke results", threads)
 		}
 		if got := len(sm.Chains(threads)) - 1; got != threads {
-			t.Fatalf("threads=%d: cached partition has %d chains", threads, got)
+			t.Fatalf("threads=%d: partition has %d chains", threads, got)
 		}
+	}
+	if got := sm.Chains(2); &got[0] != &built[0] {
+		t.Fatal("chains for the build thread count were recomputed instead of served from the structure")
 	}
 }

@@ -16,49 +16,42 @@ import (
 // sm.NumRows() x RowSize(u, sm.N); it is overwritten. U[sm.N] is not
 // referenced and may be nil.
 //
-// Rows are computed independently with dynamic scheduling (Algorithm 3
-// lines 5-8): each row is owned by exactly one worker so no locks are
-// needed, and the accumulation order within a row is fixed by the
-// symbolic structure, making the result bitwise deterministic for any
-// thread count. TTMcSched selects other schedules.
+// Rows are computed independently (Algorithm 3 lines 5-8) on chains of
+// near-equal nonzero weight, one per worker, with work-stealing for
+// irregular tails (see runRows): each row is owned by exactly one
+// worker so no locks are needed, and the accumulation order within a
+// row is fixed by the symbolic structure, making the result bitwise
+// deterministic for any thread count.
 func TTMc(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix, threads int) {
-	TTMcSched(y, x, sm, u, threads, par.ScheduleDynamic)
+	if y.Rows != sm.NumRows() || y.Cols != RowSize(u, sm.N) {
+		panic("ttm: TTMc output shape mismatch")
+	}
+	flatRows(y, x, sm, nil, u, threads)
 }
 
-// runRows executes an owner-computes row loop over [0, n) under the
-// given schedule: uniform static blocks, chunked dynamic
-// self-scheduling, or balanced chains with work-stealing (chains() is
-// only consulted for the balanced schedule, so callers can defer the
-// partition computation). All schedules give every row exactly one
-// owner, so the results are bitwise identical.
-func runRows(sched par.Schedule, n, threads int, chains func() []int32, body func(worker, lo, hi int)) {
+// TTMcSched is TTMc; the trailing argument is ignored. It is kept only
+// for the frozen per-layer benchmark (perfbench/layers.go).
+func TTMcSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix, threads, _ int) {
+	TTMc(y, x, sm, u, threads)
+}
+
+// runRows executes an owner-computes row loop over [0, n) on
+// per-worker chains of near-equal weight, with workers that drain
+// their chain early stealing chunks from the heaviest remaining one —
+// the load-balance discipline the paper's scaling results rest on,
+// where uniform chunking leaves the worker that owns the heaviest
+// slices running long after the rest are idle. chains() is consulted
+// only when more than one worker runs, so callers can defer the
+// partition. Every row has exactly one owner, so results are bitwise
+// identical for every thread count.
+func runRows(n, threads int, chains func() []int32, body func(worker, lo, hi int)) {
 	if threads <= 1 || n <= 1 {
 		if n > 0 {
 			body(0, 0, n)
 		}
 		return
 	}
-	switch sched {
-	case par.ScheduleStatic:
-		par.ForWorker(n, threads, body)
-	case par.ScheduleDynamic:
-		par.ForDynamicWorker(n, threads, 0, body)
-	default:
-		par.RunChains(chains(), threads, body)
-	}
-}
-
-// TTMcSched is TTMc under an explicit schedule. The balanced schedule
-// partitions the rows into per-worker chains of near-equal nonzero
-// weight (cached on the symbolic mode) and steals chunks for irregular
-// tails — the load-balance discipline the paper's scaling results rest
-// on, where uniform chunking leaves the worker that owns the heaviest
-// slices running long after the rest are idle.
-func TTMcSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Matrix, threads int, sched par.Schedule) {
-	if y.Rows != sm.NumRows() || y.Cols != RowSize(u, sm.N) {
-		panic("ttm: TTMc output shape mismatch")
-	}
-	flatRows(y, x, sm, nil, u, threads, sched)
+	par.RunChains(chains(), threads, body)
 }
 
 // TTMcRows computes the TTMc result only for the symbolic row positions
@@ -68,26 +61,19 @@ func TTMcSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 // (Algorithm 4 lines 3-4, 9-12) from a local tensor that also stores
 // nonzeros owned through other modes.
 func TTMcRows(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int32, u []*dense.Matrix, threads int) {
-	TTMcRowsSched(y, x, sm, rows, u, threads, par.ScheduleDynamic)
-}
-
-// TTMcRowsSched is TTMcRows under an explicit schedule. The balanced
-// schedule chains over the selected rows' nonzero weights (computed per
-// call — subsets vary, so there is nothing to cache).
-func TTMcRowsSched(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int32, u []*dense.Matrix, threads int, sched par.Schedule) {
 	if y.Rows != len(rows) || y.Cols != RowSize(u, sm.N) {
 		panic("ttm: TTMcRows output shape mismatch")
 	}
-	flatRows(y, x, sm, rows, u, threads, sched)
+	flatRows(y, x, sm, rows, u, threads)
 }
 
 // flatRows is the owner-computes row loop behind every flat TTMc entry
 // point: output row j is zeroed and then accumulates, in update-list
 // order, every nonzero of symbolic row rows[j] (of row j itself when
-// rows is nil). The balanced schedule
-// chains over the rows' nonzero weights, cached on sm for the full row
-// set and computed per call for a subset.
-func flatRows(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int32, u []*dense.Matrix, threads int, sched par.Schedule) {
+// rows is nil). The chains weigh rows by their nonzero counts: the
+// symbolic mode's partition for the full row set, one computed per call
+// for a subset (subsets vary, so there is nothing to cache).
+func flatRows(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int32, u []*dense.Matrix, threads int) {
 	threads = par.DefaultThreads(threads)
 	kr := newKron(x, u, sm.N, sm.N+1)
 	chains := func() []int32 {
@@ -101,7 +87,7 @@ func flatRows(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, rows []int32, u
 		return par.PartitionChains(w, threads)
 	}
 	scs := make([]kronScratch, threads)
-	runRows(sched, y.Rows, threads, chains, func(w, lo, hi int) {
+	runRows(y.Rows, threads, chains, func(w, lo, hi int) {
 		sc := kr.scratch(scs, w)
 		for j := lo; j < hi; j++ {
 			r := j
@@ -134,7 +120,8 @@ func TTMcNaive(y *dense.Matrix, x *tensor.COO, sm *symbolic.Mode, u []*dense.Mat
 		kron []float64
 	}
 	scratches := make([]*scratch, threads)
-	par.ForDynamicWorker(sm.NumRows(), threads, 0, func(w, lo, hi int) {
+	chains := func() []int32 { return sm.Chains(threads) }
+	runRows(sm.NumRows(), threads, chains, func(w, lo, hi int) {
 		sc := scratches[w]
 		if sc == nil {
 			sc = &scratch{rows: make([][]float64, order-1), kron: make([]float64, k)}
